@@ -5,18 +5,17 @@
 // every time — 36 us of traps plus 66 us of context switches out of the
 // 157 us total (Table 4/5). An AsyncRing amortizes exactly those two costs
 // across a batch, so per-call simulated time falls toward the residual
-// (stub + kernel validation + server work) as depth grows. Depth 1 shows
-// the pipelining machinery's own overhead: one call per flush, no
-// amortization, and the per-call cost must sit within noise of sync.
+// (stub + kernel validation + server work) as depth grows. Depth 1 is one
+// call per flush, no amortization: it costs exactly one sync call, which
+// AsyncProperty.DepthOneCostsExactlyOneSyncCall pins tick for tick.
 //
 // Flags:
 //   --calls <n>   calls per row (default 4096)
 //   --json <path> write results here (BENCH_async.json at the repo root is
 //                 the committed snapshot)
-//   --enforce     exit non-zero unless every call succeeded, depth-1 cost
-//                 is within 10% of sync, and depth-16 throughput is at
-//                 least 2x sync for every workload — the headline the
-//                 async path exists for.
+//   --enforce     exit non-zero unless every call succeeded and depth-16
+//                 throughput is at least 2x sync for every workload — the
+//                 headline the async path exists for.
 
 #include <algorithm>
 #include <cstdio>
@@ -232,14 +231,6 @@ int main(int argc, char** argv) {
       }
     }
     for (const char* workload : {"null", "add"}) {
-      const lrpc::Row* d1 = lrpc::FindRow(rows, workload, 1);
-      if (d1 == nullptr || d1->speedup < 0.90) {
-        std::fprintf(stderr,
-                     "ENFORCE FAIL: %s depth-1 cost is more than 10%% over "
-                     "sync (speedup %.2fx)\n",
-                     workload, d1 != nullptr ? d1->speedup : 0.0);
-        rc = 1;
-      }
       const lrpc::Row* d16 = lrpc::FindRow(rows, workload, 16);
       if (d16 == nullptr || d16->speedup < 2.0) {
         std::fprintf(stderr,

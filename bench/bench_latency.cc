@@ -221,9 +221,8 @@ int main(int argc, char** argv) {
   rows.push_back(Measure("null", "general", cfg,
                          [&] { return world.CallNull(0); }));
   rows.push_back(Measure("null", "inline", cfg, [&] {
-    lrpc::CallStats cs;
-    return rt.CallInlineParallel(cpu, thread, binding, world.null_proc(),
-                                 nullptr, nullptr, cs);
+    return rt.CallInline(cpu, thread, binding, world.null_proc(), nullptr,
+                         nullptr);
   }));
   rows.push_back(Measure("add", "general", cfg, [&] {
     std::int32_t sum = 0;
@@ -235,9 +234,8 @@ int main(int argc, char** argv) {
     const std::int32_t b = 1;
     std::memcpy(block + off_a, &a, sizeof(a));
     std::memcpy(block + off_b, &b, sizeof(b));
-    lrpc::CallStats cs;
-    lrpc::Status st = rt.CallInlineParallel(cpu, thread, binding,
-                                            world.add_proc(), block, block, cs);
+    lrpc::Status st =
+        rt.CallInline(cpu, thread, binding, world.add_proc(), block, block);
     if (st.ok()) {
       std::int32_t sum = 0;
       std::memcpy(&sum, block + off_sum, sizeof(sum));

@@ -14,15 +14,16 @@
 //           do not trap. The reservation registers with the thread
 //           (Thread::async_pending) so the kernel's invariant checker sees
 //           every in-flight call (invariant I5).
-//   Flush   the batched kernel leg: ONE trap pair and ONE domain-transfer
-//           pair for the whole batch; per call the kernel still validates
-//           the Binding Object and A-stack, associates an E-stack, pushes
-//           and pops the linkage around the server execution (so the
+//   Flush   the batched kernel leg: ONE trap pair, ONE Binding Object
+//           validation and ONE domain-transfer pair for the whole batch;
+//           per call it runs the synchronous path's phase functions
+//           (src/lrpc/call.cc) — the A-stack checks, E-stack association,
+//           the linkage push and pop around the server execution (so the
 //           termination collector, the captured-thread escape and the call
-//           watchdog all operate unchanged) and charges its call/return
-//           work. On the multi-process backend the batch crosses the
-//           shared channel behind a single futex doorbell ring
-//           (ProcTransport::ExecuteBatch).
+//           watchdog all operate unchanged), and the client stub's return
+//           half after the return transfer. On the multi-process backend
+//           the batch crosses the shared channel behind a single futex
+//           doorbell ring (ProcTransport::ExecuteBatch).
 //   Reap    consumes published completions: runs callbacks, parks the rest
 //           for CallFuture polling.
 //
@@ -161,25 +162,20 @@ class AsyncRing {
   }
 
  private:
-  // One pending (submitted, unflushed) call. Slots hold no heap storage
-  // beyond their reserved vectors, so the submit leg stays allocation-free.
-  struct Slot {
+  // One pending (submitted, unflushed) call: the call protocol's per-call
+  // state plus what the ring adds. Slots hold no heap storage beyond their
+  // reserved vectors, so the submit leg stays allocation-free.
+  struct Slot : LrpcRuntime::CallSlot {
     CallToken token = 0;
-    int procedure = -1;
-    const ProcedureDescriptor* pd = nullptr;
-    AStackRef astack;
-    ParFreeList* par_list = nullptr;
-    AStackQueue* queue = nullptr;
-    std::vector<CallRet> rets;
-    std::vector<std::uint64_t> oob;
+    std::vector<CallRet> ret_storage;  // Viewed by CallSlot::rets.
+    CallStats call_stats;              // Pointed at by CallSlot::stats.
     AsyncCallback callback;
-    CallStats stats;
     Status status;
-    int estack = -1;        // E-stack associated during the kernel leg.
-    bool finished = false;  // Completed during the kernel leg (no execution).
-    // Took the full return leg: eligible for the return transfer's
-    // exchange-cold charge.
-    bool completed_normally = false;
+    // This flush's channel entry, on the multi-process backend.
+    const ProcTransport::BatchCall* proc = nullptr;
+    // Ended during the flush before the client stub's return half: never
+    // executed, or ended in the kernel by the return leg.
+    bool finished = false;
   };
 
   // One cell of the SPSC completion ring: the value plus the callback the

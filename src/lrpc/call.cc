@@ -1,12 +1,14 @@
-// The LRPC call/return fast path (Section 3.2) and the cross-machine branch
-// (Section 5.1).
+// The LRPC call protocol (Section 3.2) as phase functions, the synchronous
+// driver that runs one call through them, and the cross-machine branch
+// (Section 5.1). AsyncRing::Flush (src/lrpc/async_call.cc) runs a batch of
+// calls through the same phases.
 
+#include <algorithm>
 #include <cstring>
 
 #include "src/common/check.h"
 #include "src/common/fast_path.h"
 #include "src/common/logging.h"
-#include "src/lrpc/proc_transport.h"
 #include "src/lrpc/runtime.h"
 #include "src/lrpc/server_frame.h"
 #include "src/lrpc/wire.h"
@@ -98,9 +100,23 @@ Status LrpcRuntime::CallAccounted(Processor& cpu, ThreadId thread_id,
   CallStats local_stats;
   CallStats& cs = stats != nullptr ? *stats : local_stats;
   cs = CallStats{};
+  // "Deciding whether a call is cross-domain or cross-machine is made at
+  // the earliest possible moment — the first instruction of the stub"
+  // (Section 5.1). CallInline re-expands remote windows before this point.
+  auto call = [&] {
+    return binding.object().remote
+               ? RemoteCall(cpu, thread_id, binding, procedure, args, rets, cs)
+               : CallLocal(cpu, thread_id, binding, procedure, args, rets, cs,
+                           win);
+  };
+  if (backend_ == RuntimeBackend::kParallelHost) {
+    // Workers call concurrently: the trace and the runtime-wide counters
+    // are shared mutable state, so a parallel call reports through `cs`
+    // only and each worker aggregates its own.
+    return call();
+  }
   const SimTime trace_start = cpu.clock();
-  const Status status =
-      CallLocal(cpu, thread_id, binding, procedure, args, rets, cs, win);
+  const Status status = call();
 
   if (tracer_ != nullptr) {
     TraceEvent event;
@@ -137,38 +153,6 @@ Status LrpcRuntime::CallAccounted(Processor& cpu, ThreadId thread_id,
   stats_.copies += cs.copies;
   stats_.astack_bytes += cs.astack_bytes;
   return status;
-}
-
-// The per-worker entry of the parallel-host backend: the same fast path,
-// minus the runtime-wide stats fold and the tracer — both are shared
-// mutable state no concurrent call may touch. Workers aggregate their own
-// CallStats and the ParallelMachine folds them after the join.
-Status LrpcRuntime::CallParallel(Processor& cpu, ThreadId thread_id,
-                                 ClientBinding& binding, int procedure,
-                                 std::span<const CallArg> args,
-                                 std::span<const CallRet> rets, CallStats& cs) {
-  LRPC_CHECK(backend_ == RuntimeBackend::kParallelHost);
-  cs = CallStats{};
-  return CallLocal(cpu, thread_id, binding, procedure, args, rets, cs);
-}
-
-Status LrpcRuntime::CallInlineParallel(Processor& cpu, ThreadId thread_id,
-                                       ClientBinding& binding, int procedure,
-                                       const void* block_in, void* block_out,
-                                       CallStats& cs) {
-  LRPC_CHECK(backend_ == RuntimeBackend::kParallelHost);
-  cs = CallStats{};
-  const Interface* iface = binding.interface_spec();
-  if (procedure < 0 || procedure >= iface->procedure_count()) {
-    return Status(ErrorCode::kNoSuchProcedure);
-  }
-  if (!iface->pd(procedure).inline_eligible) {
-    return Status(ErrorCode::kInvalidArgument,
-                  "procedure is not inline-eligible");
-  }
-  const InlineWindow win{static_cast<const std::byte*>(block_in),
-                         static_cast<std::byte*>(block_out)};
-  return CallLocal(cpu, thread_id, binding, procedure, {}, {}, cs, &win);
 }
 
 // The common-case call: client stub, kernel validation and transfer, server
@@ -234,12 +218,82 @@ void LrpcRuntime::UnmarshalInline(Processor& cpu, const ProcedureDef& def,
   }
 }
 
-Status LrpcRuntime::CallLocal(Processor& cpu, ThreadId thread_id,
-                              ClientBinding& binding, int procedure,
-                              std::span<const CallArg> args,
-                              std::span<const CallRet> rets, CallStats& cs,
-                              const InlineWindow* win) {
-  const MachineModel& model = machine().model();
+// Flattened: the phases below are inlined into this driver, so splitting
+// them out adds no calls to the synchronous path (AsyncRing, in another
+// translation unit, calls them out of line).
+[[gnu::flatten]] Status LrpcRuntime::CallLocal(
+    Processor& cpu, ThreadId thread_id, ClientBinding& binding, int procedure,
+    std::span<const CallArg> args, std::span<const CallRet> rets,
+    CallStats& cs, const InlineWindow* win) {
+  CallSlot slot{.procedure = procedure, .win = win, .rets = rets, .stats = &cs};
+  const Result<Thread*> caller =
+      ClientCallHalf(cpu, thread_id, binding, args, slot);
+  if (!caller.ok()) {
+    return caller.status();
+  }
+  Thread& t = **caller;
+
+  // Trap with the A-stack address, Binding Object and procedure identifier
+  // in registers. The kernel verifies all three, claims the linkage and
+  // pushes it on the thread's linkage stack, then finds an E-stack.
+  kernel_.ChargeTrap(cpu);
+  const Result<BindingRecord*> record = ValidateBinding(binding);
+  Status status = KernelCallLeg(cpu, record, slot);
+  if (status.ok()) {
+    status = ClaimLinkage(t, slot);
+  }
+  if (status.ok()) {
+    PushLinkage(t, **record, slot);
+    status = AssociateEStack(cpu, kernel_.domain((*record)->server), slot);
+    if (!status.ok()) {
+      t.PopLinkage();
+      slot.astack.linkage().in_use = false;
+    }
+  }
+  if (!status.ok()) {
+    // The kernel rejects the call and returns to the stub.
+    kernel_.ChargeTrap(cpu);
+    ReturnAStack(cpu, slot, /*requeue=*/true);
+    kernel_.NotifyEvent(KernelEventKind::kCallReturned);
+    return status;
+  }
+  const DomainId server_id = (*record)->server;
+  Domain& server = kernel_.domain(server_id);
+
+  // Reload the virtual memory registers with the server domain's — or, on
+  // a multiprocessor, exchange processors with one idling in the server's
+  // context (Section 3.4).
+  cs.exchanged_on_call =
+      kernel_.EnterDomain(cpu, t, server, /*allow_exchange=*/true).exchanged;
+  EnterServerStub(cpu, t, server, slot);
+  ProcTransport::BatchCall proc_call;
+  const bool proc_routed =
+      ProcRouted(**record) && ProcCallOf(slot, proc_call);
+  if (proc_routed) {
+    proc_call.leg = proc_->Execute(
+        server_id, slot.client->id(), procedure, proc_call.inline_window,
+        proc_call.window, proc_call.window_len, &proc_call.handler_status,
+        InjectedKillPhase());
+  }
+  ServerLeg(cpu, t, server_id, slot, proc_routed ? &proc_call : nullptr);
+
+  // Return: back through the server stub's trap.
+  kernel_.ChargeTrap(cpu);
+  LRPC_RETURN_IF_ERROR(KernelReturnLeg(cpu, t, slot));
+
+  // Switch (or exchange) back into the client; likely exchangeable for
+  // calls that return quickly (Section 3.4).
+  cs.exchanged_on_return =
+      kernel_.EnterDomain(cpu, t, *slot.client, /*allow_exchange=*/true)
+          .exchanged;
+  return ClientReturnHalf(cpu, slot);
+}
+
+// --- The call protocol's phases. ---
+
+Result<Thread*> LrpcRuntime::EnterClientStub(Processor& cpu,
+                                             ThreadId thread_id,
+                                             const ClientBinding& binding) {
   Thread* t = kernel_.FindThread(thread_id);
   if (t == nullptr || t->state() == ThreadState::kDead) {
     return Status(ErrorCode::kNoSuchThread);
@@ -248,290 +302,308 @@ Status LrpcRuntime::CallLocal(Processor& cpu, ThreadId thread_id,
     return Status(ErrorCode::kPermissionDenied,
                   "thread is not executing in the binding's client domain");
   }
-
   // A simple LRPC needs only one formal procedure call — into the client
   // stub (Section 3.3).
-  cpu.Charge(CostCategory::kProcedureCall, model.procedure_call);
+  cpu.Charge(CostCategory::kProcedureCall, machine().model().procedure_call);
+  return t;
+}
 
-  // "Deciding whether a call is cross-domain or cross-machine is made at
-  // the earliest possible moment — the first instruction of the stub"
-  // (Section 5.1).
-  if (binding.object().remote) {
-    if (win != nullptr) {
-      // CallInline re-expands remote windows before reaching here; a window
-      // on this branch means a caller skipped that (e.g. parallel inline on
-      // a remote binding, which the wire path cannot serve).
-      return Status(ErrorCode::kInvalidArgument,
-                    "inline path cannot cross machines");
-    }
-    return RemoteCall(cpu, thread_id, binding, procedure, args, rets, cs);
+// Client stub, call half: take an A-stack off the procedure's LIFO queue and
+// push the arguments onto it (copy A; Modula2+ conventions with a separate
+// argument pointer make this directly usable by the server) — or, on the
+// inline path, move the caller's packed window into the linkage record's
+// registers with a single copy (Section 2.2).
+Result<Thread*> LrpcRuntime::ClientCallHalf(Processor& cpu, ThreadId thread_id,
+                                            ClientBinding& binding,
+                                            std::span<const CallArg> args,
+                                            CallSlot& slot) {
+  Result<Thread*> caller = EnterClientStub(cpu, thread_id, binding);
+  if (!caller.ok()) {
+    return caller;
   }
-
   const Interface* iface = binding.interface_spec();
-  if (procedure < 0 || procedure >= iface->procedure_count()) {
+  if (slot.procedure < 0 || slot.procedure >= iface->procedure_count()) {
     return Status(ErrorCode::kNoSuchProcedure);
   }
-  const ProcedureDescriptor& pd = iface->pd(procedure);
-  const ProcedureDef& def = *pd.def;
-  Domain* client = kernel_.FindDomain(binding.client());
-  LRPC_CHECK(client != nullptr);
+  const ProcedureDescriptor& pd = iface->pd(slot.procedure);
+  slot.pd = &pd;
+  slot.client = kernel_.FindDomain(binding.client());
+  LRPC_CHECK(slot.client != nullptr);
 
-  // --- Client stub (call half). ---
   // The stub cost outside the two queue critical sections; the queue ops
   // themselves are charged while the per-queue lock is held.
-  const SimDuration stub_outside_locks =
-      model.lrpc_client_stub - 2 * model.astack_queue_lock_hold;
-  cpu.Charge(CostCategory::kClientStub, stub_outside_locks);
-  kernel_.TouchPages(cpu, client->page_base(), kClientStubPages);
-  kernel_.TouchPages(cpu, client->page_base() + kClientBindingPageOffset,
+  const MachineModel& model = machine().model();
+  cpu.Charge(CostCategory::kClientStub,
+             model.lrpc_client_stub - 2 * model.astack_queue_lock_hold);
+  const std::uint64_t pages = slot.client->page_base();
+  kernel_.TouchPages(cpu, pages, kClientStubPages);
+  kernel_.TouchPages(cpu, pages + kClientBindingPageOffset,
                      kClientBindingPages);
-  kernel_.TouchPages(cpu, client->page_base() + kClientAStackPageOffset, 1);
+  kernel_.TouchPages(cpu, pages + kClientAStackPageOffset, 1);
 
-  // Take an A-stack off the procedure's LIFO queue. The injection point
-  // makes the queue read as empty: the pool is exhausted (Section 5.2).
-  // Under the parallel-host backend the binding carries a real-thread
-  // overlay of the free list; every pop and push on this path goes through
-  // it instead of the SimLock-guarded queue (docs/concurrency.md), and the
-  // simulated queue is not even looked up.
-  FaultInjector* injector = kernel_.fault_injector();
-  ParFreeList* par_list = binding.par_queue(pd.astack_group);
-  AStackQueue* queue =
-      par_list == nullptr ? &binding.queue(pd.astack_group) : nullptr;
-  Result<AStackRef> astack_result =
-      FaultPointFires(injector, FaultKind::kAStackExhaustion)
+  // The injection point makes the queue read as empty: the pool is
+  // exhausted (Section 5.2). Under the parallel-host backend the binding
+  // carries a real-thread overlay of the free list; every pop and push of
+  // the call goes through it instead of the SimLock-guarded queue
+  // (docs/concurrency.md), and the simulated queue is not even looked up.
+  slot.par_list = binding.par_queue(pd.astack_group);
+  slot.queue =
+      slot.par_list == nullptr ? &binding.queue(pd.astack_group) : nullptr;
+  Result<AStackRef> astack =
+      FaultPointFires(kernel_.fault_injector(), FaultKind::kAStackExhaustion)
           ? Result<AStackRef>(
                 Status(ErrorCode::kAStacksExhausted, "fault injection: empty"))
-      : par_list != nullptr ? par_list->Pop(cpu, model.astack_queue_lock_hold)
-                            : queue->Pop(cpu, model.astack_queue_lock_hold);
-  if (!astack_result.ok()) {
+      : slot.par_list != nullptr
+          ? slot.par_list->Pop(cpu, model.astack_queue_lock_hold)
+          : slot.queue->Pop(cpu, model.astack_queue_lock_hold);
+  if (!astack.ok()) {
     // Growing mutates the binding's region list, which concurrent calls
     // read without a lock; parallel worlds provision a fixed set instead.
-    if (par_list != nullptr ||
+    if (slot.par_list != nullptr ||
         binding.exhaustion_policy() != AStackExhaustionPolicy::kAllocateMore) {
-      return astack_result.status();
+      return astack.status();
     }
     LRPC_RETURN_IF_ERROR(GrowAStacks(cpu, binding, pd.astack_group));
-    astack_result = queue->Pop(cpu, model.astack_queue_lock_hold);
-    if (!astack_result.ok()) {
-      return astack_result.status();
+    astack = slot.queue->Pop(cpu, model.astack_queue_lock_hold);
+    if (!astack.ok()) {
+      return astack.status();
     }
   }
-  const AStackRef astack = *astack_result;
   // The pop transferred ownership of the A-stack/linkage pair to this
   // thread (the free list's release/acquire edge), so the linkage is
   // already writable here — the inline path fills its register window
   // before the trap, exactly where the general path fills the A-stack.
-  LinkageRecord& linkage = astack.linkage();
-  // Every exit below this point owns the A-stack and must hand it back
-  // through whichever free structure it came from.
-  auto requeue_astack = [&] {
-    if (par_list != nullptr) {
-      par_list->Push(cpu, astack, model.astack_queue_lock_hold);
-    } else {
-      queue->Push(cpu, astack, model.astack_queue_lock_hold);
-    }
-  };
-  if (astack.region->secondary()) {
-    cs.used_secondary_astack = true;
+  slot.astack = *astack;
+  if (slot.astack.region->secondary()) {
+    slot.stats->used_secondary_astack = true;
   }
-
-  // Push the arguments onto the A-stack (copy A; Modula2+ conventions with
-  // a separate argument pointer make this directly usable by the server) —
-  // or, on the inline path, move the caller's packed window into the
-  // linkage record's registers with a single copy (Section 2.2).
-  std::vector<std::uint64_t> oob_used;
-  if (win != nullptr) {
-    MarshalInline(cpu, def, pd, linkage, *win, cs);
-  } else {
-    Status marshal =
-        MarshalArguments(cpu, client->id(), def, astack, args, &cs, &oob_used);
-    if (!marshal.ok()) {
-      for (std::uint64_t index : oob_used) {
-        ReleaseOobSegment(index);
-      }
-      requeue_astack();
-      return marshal;
-    }
+  if (slot.win != nullptr) {
+    MarshalInline(cpu, *pd.def, pd, slot.astack.linkage(), *slot.win,
+                  *slot.stats);
+    return caller;
   }
+  const Status marshal = MarshalArguments(cpu, slot.client->id(), *pd.def,
+                                          slot.astack, args, slot.stats,
+                                          &slot.oob);
+  if (!marshal.ok()) {
+    ReturnAStack(cpu, slot, /*requeue=*/true);
+    return marshal;
+  }
+  return caller;
+}
 
-  // Put the A-stack address, Binding Object and procedure identifier in
-  // registers and trap to the kernel.
-  kernel_.ChargeTrap(cpu);
+// Verifies the Binding Object. In parallel mode the leg validates against
+// the sharded mirror through the per-thread binding cache: a repeat call
+// skips even the seqlock read until a table mutation bumps the generation
+// (docs/fast_path.md).
+Result<BindingRecord*> LrpcRuntime::ValidateBinding(
+    const ClientBinding& binding) {
+  return par_bindings_ != nullptr
+             ? par_bindings_->ValidateCached(binding.object(), binding.client())
+             : kernel_.bindings().Validate(binding.object(), binding.client());
+}
 
-  // --- Kernel, call leg: executed in the context of the client's thread. ---
+// Kernel, call leg, in the context of the client's thread: charges, then
+// the checks of the Binding Object's record, the procedure identifier and
+// the A-stack. The primary region validates with a simple range check;
+// secondary regions (later allocations) take slightly more time (Section
+// 5.2).
+Status LrpcRuntime::KernelCallLeg(Processor& cpu,
+                                  const Result<BindingRecord*>& record,
+                                  const CallSlot& slot) {
+  const MachineModel& model = machine().model();
   cpu.Charge(CostCategory::kKernelPath, model.lrpc_kernel_call);
   kernel_.TouchPages(cpu, kernel_.kernel_page_base(), kKernelCallPages);
-
-  auto fail_in_kernel = [&](Status status) {
-    // The kernel rejects the call and returns to the stub.
-    kernel_.ChargeTrap(cpu);
-    requeue_astack();
-    kernel_.NotifyEvent(KernelEventKind::kCallReturned);
-    return status;
-  };
-
-  // Verify the Binding and procedure identifier. In parallel mode the leg
-  // validates against the sharded mirror through the per-thread binding
-  // cache: a repeat call skips even the seqlock read until a table mutation
-  // bumps the generation (docs/fast_path.md).
-  Result<BindingRecord*> record_result =
-      par_bindings_ != nullptr
-          ? par_bindings_->ValidateCached(binding.object(), binding.client())
-          : kernel_.bindings().Validate(binding.object(), binding.client());
-  if (!record_result.ok()) {
-    return fail_in_kernel(record_result.status());
+  if (!record.ok()) {
+    return record.status();
   }
-  BindingRecord* record = *record_result;
-  const auto* kernel_iface = static_cast<const Interface*>(record->pdl);
-  if (procedure >= kernel_iface->procedure_count()) {
-    return fail_in_kernel(Status(ErrorCode::kNoSuchProcedure));
+  const auto* kernel_iface = static_cast<const Interface*>((*record)->pdl);
+  if (slot.procedure >= kernel_iface->procedure_count()) {
+    return Status(ErrorCode::kNoSuchProcedure);
   }
-
-  // Verify the A-stack and locate the corresponding linkage. The primary
-  // region validates with a simple range check; secondary regions (later
-  // allocations) take slightly more time (Section 5.2).
-  bool region_of_binding = false;
-  for (const auto& region : record->regions) {
-    if (region.get() == astack.region) {
-      region_of_binding = true;
-      break;
-    }
-  }
-  if (!region_of_binding) {
-    return fail_in_kernel(
-        Status(ErrorCode::kInvalidAStack, "A-stack not of this binding"));
+  const AStackRef& astack = slot.astack;
+  const auto& regions = (*record)->regions;
+  if (std::none_of(regions.begin(), regions.end(), [&](const auto& region) {
+        return region.get() == astack.region;
+      })) {
+    return Status(ErrorCode::kInvalidAStack, "A-stack not of this binding");
   }
   if (astack.region->secondary()) {
     cpu.Charge(CostCategory::kKernelPath, model.lrpc_secondary_astack_check);
   }
-  Result<int> validated_index =
-      astack.region->ValidateOffset(astack.offset());
-  if (!validated_index.ok() || *validated_index != astack.index) {
-    return fail_in_kernel(Status(ErrorCode::kInvalidAStack));
+  const Result<int> index = astack.region->ValidateOffset(astack.offset());
+  if (!index.ok() || *index != astack.index) {
+    return Status(ErrorCode::kInvalidAStack);
   }
+  return Status::Ok();
+}
 
-  // Ensure no other thread is currently using this A-stack/linkage pair,
-  // then record the caller's return state and push the linkage.
+// Ensures no other thread is currently using this A-stack/linkage pair, then
+// claims the linkage and records the caller's return state.
+Status LrpcRuntime::ClaimLinkage(const Thread& t, const CallSlot& slot) {
+  LinkageRecord& linkage = slot.astack.linkage();
   if (linkage.in_use) {
-    return fail_in_kernel(Status(ErrorCode::kAStackInUse));
+    return Status(ErrorCode::kAStackInUse);
   }
-  linkage.valid = true;
   linkage.in_use = true;
+  linkage.caller_thread = t.id();
+  linkage.caller_domain = slot.client->id();
+  linkage.procedure = static_cast<std::uint32_t>(slot.procedure);
+  linkage.return_address = 0x4000 + static_cast<std::uint64_t>(slot.procedure);
+  linkage.saved_stack_pointer = t.user_sp();
+  return Status::Ok();
+}
+
+// Pushes the claimed linkage on the thread's linkage stack, stamping the
+// claim order: from here the call is executing.
+void LrpcRuntime::PushLinkage(Thread& t, const BindingRecord& record,
+                              const CallSlot& slot) {
+  LinkageRecord& linkage = slot.astack.linkage();
+  linkage.valid = true;
   linkage.seq = kernel_.NextLinkageSeq();
-  linkage.caller_thread = thread_id;
-  linkage.caller_domain = client->id();
-  linkage.binding = record->id;
-  linkage.procedure = static_cast<std::uint32_t>(procedure);
-  linkage.return_address = 0x4000 + static_cast<std::uint64_t>(procedure);
-  linkage.saved_stack_pointer = t->user_sp();
-  t->PushLinkage(astack);
+  linkage.binding = record.id;
+  t.PushLinkage(slot.astack);
   kernel_.NotifyEvent(KernelEventKind::kLinkageClaimed);
+}
 
-  // Find an execution stack in the server's domain (lazy A-stack/E-stack
-  // association) and run the thread off it.
-  Domain& server = kernel_.domain(record->server);
-  Result<int> estack =
+// Finds an execution stack in the server's domain (lazy A-stack/E-stack
+// association).
+Status LrpcRuntime::AssociateEStack(Processor& cpu, Domain& server,
+                                    CallSlot& slot) {
+  const Result<int> estack =
       backend_ == RuntimeBackend::kParallelHost
-          ? kernel_.EnsureEStackParallel(server, astack, cpu.clock())
-          : kernel_.EnsureEStack(server, astack, cpu.clock());
+          ? kernel_.EnsureEStackParallel(server, slot.astack, cpu.clock())
+          : kernel_.EnsureEStack(server, slot.astack, cpu.clock());
   if (!estack.ok()) {
-    t->PopLinkage();
-    linkage.in_use = false;
-    return fail_in_kernel(estack.status());
+    return estack.status();
   }
-  t->set_user_sp(0x80000000ULL + static_cast<std::uint64_t>(*estack) * 0x10000ULL);
+  slot.estack = *estack;
+  return Status::Ok();
+}
 
-  // Reload the virtual memory registers with the server domain's — or, on
-  // a multiprocessor, exchange processors with one idling in the server's
-  // context (Section 3.4).
-  const Kernel::TransferResult call_transfer =
-      kernel_.EnterDomain(cpu, *t, server, /*allow_exchange=*/true);
-  cs.exchanged_on_call = call_transfer.exchanged;
-
-  // --- Server side: the kernel upcalls directly into the entry stub at the
-  // address in the PD; the E-stack is primed so the stub can branch to the
-  // procedure's first instruction (Section 3.3). ---
-  cpu.Charge(CostCategory::kServerStub, model.lrpc_server_stub);
+// The kernel upcalls directly into the server's entry stub at the address
+// in the PD, with the thread running off the call's E-stack, primed so the
+// stub can branch to the procedure's first instruction (Section 3.3).
+void LrpcRuntime::EnterServerStub(Processor& cpu, Thread& t, Domain& server,
+                                  const CallSlot& slot) {
+  t.set_user_sp(0x80000000ULL +
+                static_cast<std::uint64_t>(slot.estack) * 0x10000ULL);
+  cpu.Charge(CostCategory::kServerStub, machine().model().lrpc_server_stub);
   kernel_.TouchPages(cpu, server.page_base(), kServerPages);
+}
 
-  // Multi-process backend (docs/multiprocess.md): the marshaled window
-  // crosses into the server's real process over the shared channel instead
-  // of branching into the handler here. Calls the channel cannot carry
-  // (out-of-band segments, oversized A-stacks) execute in-process as on the
-  // other backends. A death status from the transport runs the §5.3
-  // collector against the real corpse further down.
-  bool peer_pre_death = false;   // Died before accepting: handler never ran.
-  bool peer_mid_death = false;   // Died after accepting: handler may have run.
-  bool proc_executed = false;
-  Status server_status = Status::Ok();
-  if (backend_ == RuntimeBackend::kMultiProcess && proc_ != nullptr &&
-      proc_->Serves(record->server) && oob_used.empty()) {
-    std::uint8_t* window = win != nullptr
-        ? linkage.regs
-        : astack.region->segment().DataUnchecked() + astack.offset();
-    const std::size_t window_len =
-        win != nullptr ? pd.slot_span : pd.astack_size;
-    if (window_len <= proc_->payload_capacity()) {
-      ProcTransport::KillPhase kill = ProcTransport::KillPhase::kNone;
-      if (FaultPointFires(injector, FaultKind::kPeerProcessDeath)) {
-        // The phase cycles with the per-kind hit counter, so a seeded
-        // schedule replays the same kill at the same protocol point.
-        switch (injector->hits(FaultKind::kPeerProcessDeath) % 3) {
-          case 0: kill = ProcTransport::KillPhase::kBeforeAccept; break;
-          case 1: kill = ProcTransport::KillPhase::kInServerBody; break;
-          default: kill = ProcTransport::KillPhase::kAfterReturn; break;
-        }
-      }
-      const Status leg =
-          proc_->Execute(record->server, client->id(), procedure,
-                         win != nullptr, window, window_len, &server_status,
-                         kill);
-      proc_executed = true;
-      if (leg.code() == ErrorCode::kPeerDied) {
-        peer_pre_death = true;
-      } else if (!leg.ok()) {
-        peer_mid_death = true;
-      }
-    }
+// Multi-process backend (docs/multiprocess.md): true when the binding's
+// server is a real process, whose calls cross the shared channel instead of
+// running in-process.
+bool LrpcRuntime::ProcRouted(const BindingRecord& record) const {
+  return backend_ == RuntimeBackend::kMultiProcess && proc_ != nullptr &&
+         proc_->Serves(record.server);
+}
+
+// Fills `call` with the marshaled window that crosses the channel, and
+// returns true. Calls the channel cannot carry (out-of-band segments,
+// oversized windows) execute in-process as on the other backends.
+bool LrpcRuntime::ProcCallOf(const CallSlot& slot,
+                             ProcTransport::BatchCall& call) {
+  if (!slot.oob.empty()) {
+    return false;
   }
-  if (!proc_executed) {
-    ServerFrame frame(this, cpu, def, astack, server.id(), client->id(),
-                      thread_id, &cs.copies);
-    if (win != nullptr) {
+  const bool inline_window = slot.win != nullptr;
+  const std::size_t window_len =
+      inline_window ? slot.pd->slot_span : slot.pd->astack_size;
+  if (window_len > proc_->payload_capacity()) {
+    return false;
+  }
+  call.procedure = slot.procedure;
+  call.inline_window = inline_window;
+  call.window = inline_window ? slot.astack.linkage().regs
+                              : slot.astack.region->segment().DataUnchecked() +
+                                    slot.astack.offset();
+  call.window_len = window_len;
+  return true;
+}
+
+// A FaultKind::kPeerProcessDeath injection arms one kill for the next
+// transport leg. The phase cycles with the per-kind hit counter, so a
+// seeded schedule replays the same kill at the same protocol point.
+ProcTransport::KillPhase LrpcRuntime::InjectedKillPhase() {
+  FaultInjector* injector = kernel_.fault_injector();
+  if (!FaultPointFires(injector, FaultKind::kPeerProcessDeath)) {
+    return ProcTransport::KillPhase::kNone;
+  }
+  switch (injector->hits(FaultKind::kPeerProcessDeath) % 3) {
+    case 0: return ProcTransport::KillPhase::kBeforeAccept;
+    case 1: return ProcTransport::KillPhase::kInServerBody;
+    default: return ProcTransport::KillPhase::kAfterReturn;
+  }
+}
+
+// Reads a transport leg into the call: the handler's status when the server
+// process ran it. Otherwise the process died — before accepting the call
+// (kPeerDied: the handler never ran) or after — and this returns false.
+bool LrpcRuntime::ReadProcLeg(const ProcTransport::BatchCall& call,
+                              CallSlot& slot) {
+  slot.peer_died_before_accept = call.leg.code() == ErrorCode::kPeerDied;
+  slot.stats->server_status = call.leg.ok() ? call.handler_status : Status::Ok();
+  return call.leg.ok();
+}
+
+// Server side, after the upcall: the handler runs in-process through a
+// ServerFrame, or has already run in the server's real process, whose
+// transport leg `proc_call` reports.
+void LrpcRuntime::ServerLeg(Processor& cpu, Thread& t, DomainId server,
+                            CallSlot& slot,
+                            const ProcTransport::BatchCall* proc_call) {
+  if (proc_call == nullptr) {
+    const ProcedureDef& def = *slot.pd->def;
+    ServerFrame frame(this, cpu, def, slot.astack, server, slot.client->id(),
+                      t.id(), &slot.stats->copies);
+    if (slot.win != nullptr) {
       // Inline path: the frame serves the handler straight from the linkage
       // record's register window; no A-stack slot decoding, no segment
       // rights checks.
-      frame.AttachRegisterWindow(linkage.regs);
+      frame.AttachRegisterWindow(slot.astack.linkage().regs);
     }
-    server_status = frame.PrepareArguments();
+    Status server_status = frame.PrepareArguments();
     if (server_status.ok() && def.handler) {
       server_status = def.handler(frame);
     }
-  }
-  cs.server_status = server_status;
-
-  if (peer_pre_death || peer_mid_death) {
+    slot.stats->server_status = server_status;
+  } else if (!ReadProcLeg(*proc_call, slot)) {
     // The real server process is a corpse: revoke its bindings, unwind the
     // visiting thread and reclaim its segments — the same collector the
     // simulated terminations run, now with a reaped child behind it.
-    (void)TerminateDomain(record->server);
+    (void)TerminateDomain(server);
     kernel_.NotifyEvent(KernelEventKind::kPeerDeath);
   }
 
   // Injected Section 5.3 emergencies, landing while the thread is still in
   // the server: the server domain terminates mid-call, or the client gives
   // up on its captured thread. Both run the real kernel recovery paths.
+  FaultInjector* injector = kernel_.fault_injector();
   if (FaultPointFires(injector, FaultKind::kDomainTermination)) {
-    (void)TerminateDomain(record->server);
+    (void)TerminateDomain(server);
   } else if (FaultPointFires(injector, FaultKind::kThreadCapture)) {
-    (void)kernel_.AbandonCapturedCall(*t);
+    (void)kernel_.AbandonCapturedCall(t);
   }
+}
 
-  // --- Return: back through the server stub's trap. Binding Object,
-  // procedure identifier and A-stack were verified at call time; the
-  // linkage at the top of the thread's stack makes them implicit now. ---
-  kernel_.ChargeTrap(cpu);
-  cpu.Charge(CostCategory::kKernelPath, model.lrpc_kernel_return);
+// The status of a call whose server domain died under it: kPeerDied when
+// the server process died before accepting the call — the handler never
+// ran, so the failure is retryable — and kCallFailed otherwise.
+Status LrpcRuntime::DeadPeerStatus(const CallSlot& slot) {
+  return slot.peer_died_before_accept
+             ? Status(ErrorCode::kPeerDied,
+                      "server process died before accepting the call")
+             : Status(ErrorCode::kCallFailed, "server domain terminated");
+}
+
+// Kernel, return leg: Binding Object, procedure identifier and A-stack were
+// verified at call time; the linkage at the top of the thread's stack makes
+// them implicit now.
+Status LrpcRuntime::KernelReturnLeg(Processor& cpu, Thread& t,
+                                    CallSlot& slot) {
+  cpu.Charge(CostCategory::kKernelPath, machine().model().lrpc_kernel_return);
   kernel_.TouchPages(cpu, kernel_.kernel_page_base() + kKernelReturnPageOffset,
                      kKernelReturnPages);
 
@@ -539,106 +611,117 @@ Status LrpcRuntime::CallLocal(Processor& cpu, ThreadId thread_id,
   // abandoned here through the captured-thread escape, so the captured
   // branch below runs its normal cleanup. With no watchdog ever armed this
   // is a null check on an empty table.
-  kernel_.PollCallWatchdog(cpu, *t);
+  kernel_.PollCallWatchdog(cpu, t);
 
-  if (t->captured()) {
+  // A thread restarted in a caller domain carries an exception: restore the
+  // processor context to wherever the thread now is, and take it.
+  auto resume = [&] {
+    Domain* resumed_in = kernel_.FindDomain(t.current_domain());
+    if (resumed_in != nullptr) {
+      kernel_.EnterDomain(cpu, t, *resumed_in, /*allow_exchange=*/true);
+    }
+    return t.TakeException();
+  };
+
+  if (t.captured()) {
     // The client abandoned this call (Section 5.3): the captured thread is
     // destroyed in the kernel when released. Its A-stack returns to the
     // free queue; the replacement thread already carries call-aborted.
-    if (t->HasLinkages() && t->linkage_stack().back() == astack) {
-      t->PopLinkage();
+    if (t.HasLinkages() && t.linkage_stack().back() == slot.astack) {
+      t.PopLinkage();
     }
-    linkage.in_use = false;
-    requeue_astack();
-    kernel_.DestroyThread(*t);
-    kernel_.NotifyEvent(KernelEventKind::kCallReturned);
+    kernel_.DestroyThread(t);
+    EndCall(cpu, slot, /*requeue=*/true);
     return Status(ErrorCode::kCallAborted, "thread was abandoned by its client");
   }
 
-  if (!t->HasLinkages() || !(t->linkage_stack().back() == astack)) {
+  if (!t.HasLinkages() || !(t.linkage_stack().back() == slot.astack)) {
     // The termination collector unwound this thread while the procedure ran
     // (e.g. the server domain terminated itself): the thread is already
-    // back in a caller domain carrying an exception. Restore the processor
-    // context to wherever the thread now is.
-    Domain* resumed_in = kernel_.FindDomain(t->current_domain());
-    if (resumed_in != nullptr) {
-      kernel_.EnterDomain(cpu, *t, *resumed_in, /*allow_exchange=*/true);
-    }
-    const ThreadException exc = t->TakeException();
-    if (exc == ThreadException::kCallAborted) {
+    // back in a caller domain carrying an exception.
+    EndCall(cpu, slot, /*requeue=*/false);
+    if (resume() == ThreadException::kCallAborted) {
       return Status(ErrorCode::kCallAborted);
     }
-    if (peer_pre_death) {
-      // The server process died before it accepted the call: the handler
-      // never ran, so the failure is retryable (docs/multiprocess.md).
-      return Status(ErrorCode::kPeerDied,
-                    "server process died before accepting the call");
-    }
-    return Status(ErrorCode::kCallFailed, "server domain terminated");
+    return DeadPeerStatus(slot);
   }
 
-  t->PopLinkage();
-  const bool linkage_was_valid = linkage.valid;
-  t->set_user_sp(linkage.saved_stack_pointer);
-  astack.region->set_last_used(astack.index, cpu.clock());
-
-  if (!linkage_was_valid) {
-    linkage.in_use = false;
+  t.PopLinkage();
+  LinkageRecord& linkage = slot.astack.linkage();
+  t.set_user_sp(linkage.saved_stack_pointer);
+  slot.astack.region->set_last_used(slot.astack.index, cpu.clock());
+  if (!linkage.valid) {
     // A party to the binding terminated while the call was outstanding:
     // returning control would enter a dead domain. Deliver call-failed to
     // the first valid linkage down the stack (Section 5.3).
-    if (kernel_.UnwindWithException(*t, ThreadException::kCallFailed)) {
-      Domain* resumed_in = kernel_.FindDomain(t->current_domain());
-      if (resumed_in != nullptr) {
-        kernel_.EnterDomain(cpu, *t, *resumed_in, /*allow_exchange=*/true);
-      }
-      t->TakeException();
+    EndCall(cpu, slot, /*requeue=*/false);
+    if (kernel_.UnwindWithException(t, ThreadException::kCallFailed)) {
+      (void)resume();
     }
     return Status(ErrorCode::kCallFailed, "binding revoked during call");
   }
+  return Status::Ok();
+}
 
-  // Switch (or exchange) back into the client; likely exchangeable for
-  // calls that return quickly (Section 3.4).
-  const Kernel::TransferResult return_transfer =
-      kernel_.EnterDomain(cpu, *t, *client, /*allow_exchange=*/true);
-  cs.exchanged_on_return = return_transfer.exchanged;
+// Client stub, return half: copy the A-stack's return values into their
+// final destinations (copy F) and requeue the A-stack.
+Status LrpcRuntime::ClientReturnHalf(Processor& cpu, CallSlot& slot) {
+  const std::uint64_t pages = slot.client->page_base();
+  kernel_.TouchPages(cpu, pages, kClientStubPages);
+  kernel_.TouchPages(cpu, pages + kClientAStackPageOffset, 1);
 
-  // --- Client stub (return half): copy the A-stack's return values into
-  // their final destinations (copy F) and requeue the A-stack. ---
-  kernel_.TouchPages(cpu, client->page_base(), kClientStubPages);
-  kernel_.TouchPages(cpu, client->page_base() + kClientAStackPageOffset, 1);
-
+  CallStats& cs = *slot.stats;
   Status unmarshal = Status::Ok();
-  if (server_status.ok()) {
-    if (win != nullptr) {
-      UnmarshalInline(cpu, def, pd, linkage, *win, cs);
+  if (cs.server_status.ok()) {
+    if (slot.win != nullptr) {
+      UnmarshalInline(cpu, *slot.pd->def, *slot.pd, slot.astack.linkage(),
+                      *slot.win, cs);
     } else {
-      unmarshal = UnmarshalResults(cpu, client->id(), def, astack, rets, &cs);
+      unmarshal = UnmarshalResults(cpu, slot.client->id(), *slot.pd->def,
+                                   slot.astack, slot.rets, &cs);
     }
-  }
-  // Out-of-band transfer segments are per-call; return them for reuse.
-  for (std::uint64_t index : oob_used) {
-    ReleaseOobSegment(index);
   }
   // The A-stack stays claimed (in_use) across the return transfer and the
   // unmarshal; it leaves "claimed" only by rejoining the free queue.
-  linkage.in_use = false;
-  requeue_astack();
-  kernel_.NotifyEvent(KernelEventKind::kCallReturned);
+  EndCall(cpu, slot, /*requeue=*/true);
 
   // After a processor exchange the calling thread runs on a processor whose
   // cache is cold for the A-stack and client pages; the penalty scales with
   // the bytes moved through the A-stack (see MachineModel calibration).
   if ((cs.exchanged_on_call || cs.exchanged_on_return) && cs.astack_bytes > 0) {
     cpu.Charge(CostCategory::kProcessorExchange,
-               Micros(model.exchange_cold_per_byte_us *
+               Micros(machine().model().exchange_cold_per_byte_us *
                       static_cast<double>(cs.astack_bytes)));
   }
+  return cs.server_status.ok() ? unmarshal : cs.server_status;
+}
 
-  if (!server_status.ok()) {
-    return server_status;
+void LrpcRuntime::ReturnAStack(Processor& cpu, CallSlot& slot, bool requeue) {
+  // Out-of-band transfer segments are per-call; return them for reuse.
+  for (std::uint64_t index : slot.oob) {
+    ReleaseOobSegment(index);
   }
-  return unmarshal;
+  slot.oob.clear();
+  if (!requeue) {
+    return;
+  }
+  const SimDuration hold = machine().model().astack_queue_lock_hold;
+  if (slot.par_list != nullptr) {
+    slot.par_list->Push(cpu, slot.astack, hold);
+  } else {
+    slot.queue->Push(cpu, slot.astack, hold);
+  }
+}
+
+// An A-stack of a revoked binding never rejoins its free list (the region
+// dies with the binding); every other ending requeues it and announces
+// CallReturned.
+void LrpcRuntime::EndCall(Processor& cpu, CallSlot& slot, bool requeue) {
+  slot.astack.linkage().in_use = false;
+  ReturnAStack(cpu, slot, requeue);
+  if (requeue) {
+    kernel_.NotifyEvent(KernelEventKind::kCallReturned);
+  }
 }
 
 LRPC_FAST_PATH_END("lrpc call/return");
@@ -647,6 +730,7 @@ Status LrpcRuntime::RemoteCall(Processor& cpu, ThreadId thread_id,
                                ClientBinding& binding, int procedure,
                                std::span<const CallArg> args,
                                std::span<const CallRet> rets, CallStats& cs) {
+  LRPC_RETURN_IF_ERROR(EnterClientStub(cpu, thread_id, binding).status());
   const MachineModel& model = machine().model();
   const Interface* iface = binding.interface_spec();
   if (procedure < 0 || procedure >= iface->procedure_count()) {

@@ -34,6 +34,7 @@
 #include "src/lrpc/client_binding.h"
 #include "src/lrpc/copy_stats.h"
 #include "src/lrpc/interface.h"
+#include "src/lrpc/proc_transport.h"
 #include "src/nameserver/name_server.h"
 
 namespace lrpc {
@@ -95,8 +96,6 @@ enum class RuntimeBackend : std::uint8_t {
   // and peer death is a first-class protocol event (docs/multiprocess.md).
   kMultiProcess,
 };
-
-class ProcTransport;
 
 class LrpcRuntime {
  public:
@@ -167,20 +166,17 @@ class LrpcRuntime {
                     std::span<const CallRet> rets, CallStats* stats = nullptr);
 
   // --- Parallel-host backend (src/par, docs/concurrency.md). ---
-  // The per-worker call entry: the same fast path as Call(), minus the
-  // runtime-wide stats fold and the tracer, both of which are shared
-  // mutable state no concurrent call may touch. Only valid on the
-  // kParallelHost backend; per-call numbers come back through `stats`.
-  Status CallParallel(Processor& cpu, ThreadId thread, ClientBinding& binding,
-                      int procedure, std::span<const CallArg> args,
-                      std::span<const CallRet> rets, CallStats& stats);
-
-  // CallInline for the parallel-host backend (same contract as CallInline,
-  // same restrictions as CallParallel).
+  // On this backend Call and CallInline skip the runtime-wide stats fold and
+  // the tracer, both of which are shared mutable state no concurrent call
+  // may touch; per-call numbers come back through `stats` only.
+  // CallInlineParallel is CallInline taking its stats by reference.
   Status CallInlineParallel(Processor& cpu, ThreadId thread,
                             ClientBinding& binding, int procedure,
                             const void* block_in, void* block_out,
-                            CallStats& stats);
+                            CallStats& stats) {
+    return CallInline(cpu, thread, binding, procedure, block_in, block_out,
+                      &stats);
+  }
 
   // Installs the sharded mirror the call leg validates against in parallel
   // mode (non-owning; the ParallelMachine owns it). Null detaches.
@@ -222,9 +218,8 @@ class LrpcRuntime {
 
  private:
   friend class ServerFrame;
-  // The async ring (src/lrpc/async_call.h) is the pipelined twin of
-  // CallLocal: its submit/flush legs reuse the marshal helpers and the
-  // backend routing below.
+  // The async ring (src/lrpc/async_call.h) drives batches of calls through
+  // the call protocol's phases below.
   friend class AsyncRing;
 
   // Grows a binding's A-stack supply with a secondary region (Section 5.2).
@@ -237,9 +232,31 @@ class LrpcRuntime {
     std::byte* block_out = nullptr;
   };
 
-  // The local fast path (Section 3.2); Call() wraps it for accounting.
-  // When `win` is non-null the call marshals through the linkage record's
-  // register window instead of the A-stack (docs/fast_path.md).
+  // One call's state as it moves through the protocol phases below. The
+  // synchronous driver keeps one on its stack; an AsyncRing keeps one per
+  // slot.
+  struct CallSlot {
+    int procedure = -1;
+    // Non-null on the inline path: the call marshals through the linkage
+    // record's register window instead of the A-stack (docs/fast_path.md).
+    const InlineWindow* win = nullptr;
+    std::span<const CallRet> rets;
+    CallStats* stats = nullptr;
+    const ProcedureDescriptor* pd = nullptr;
+    Domain* client = nullptr;
+    AStackRef astack;
+    // The free structure the A-stack was popped from, and returns to.
+    ParFreeList* par_list = nullptr;
+    AStackQueue* queue = nullptr;
+    std::vector<std::uint64_t> oob;  // This call's out-of-band segments.
+    int estack = -1;                 // Associated by the kernel call leg.
+    // The server process died before it accepted the call: the handler
+    // never ran, so the call fails retryable (docs/multiprocess.md).
+    bool peer_died_before_accept = false;
+  };
+
+  // The synchronous driver: one local call through every phase, in the
+  // paper's order (Section 3.2). Call() wraps it for accounting.
   Status CallLocal(Processor& cpu, ThreadId thread, ClientBinding& binding,
                    int procedure, std::span<const CallArg> args,
                    std::span<const CallRet> rets, CallStats& stats,
@@ -251,6 +268,60 @@ class LrpcRuntime {
                        int procedure, std::span<const CallArg> args,
                        std::span<const CallRet> rets, CallStats* stats,
                        const InlineWindow* win);
+
+  // --- The call protocol's phases (src/lrpc/call.cc). A phase that can end
+  // the call returns the status it ends with. ---
+
+  // Client stub, call half: caller checks, the stub's charges and page
+  // touches, an A-stack popped (or grown) and the arguments marshaled.
+  // Returns the calling thread.
+  Result<Thread*> ClientCallHalf(Processor& cpu, ThreadId thread,
+                                 ClientBinding& binding,
+                                 std::span<const CallArg> args,
+                                 CallSlot& slot);
+  // The formal procedure call into the client stub, by a thread that must
+  // be live and executing in the binding's client domain.
+  Result<Thread*> EnterClientStub(Processor& cpu, ThreadId thread,
+                                  const ClientBinding& binding);
+
+  // Kernel call leg: the Binding Object (validated once per call, or once
+  // per batch), the procedure and the A-stack are checked; the linkage is
+  // claimed and pushed; an E-stack is associated.
+  Result<BindingRecord*> ValidateBinding(const ClientBinding& binding);
+  Status KernelCallLeg(Processor& cpu, const Result<BindingRecord*>& record,
+                       const CallSlot& slot);
+  Status ClaimLinkage(const Thread& t, const CallSlot& slot);
+  void PushLinkage(Thread& t, const BindingRecord& record,
+                   const CallSlot& slot);
+  Status AssociateEStack(Processor& cpu, Domain& server, CallSlot& slot);
+
+  // Server leg: the upcall into the entry stub, then the handler — run
+  // in-process, or read from a multi-process transport leg — with the
+  // peer-death collector and the injected Section 5.3 emergencies.
+  void EnterServerStub(Processor& cpu, Thread& t, Domain& server,
+                       const CallSlot& slot);
+  bool ProcRouted(const BindingRecord& record) const;
+  bool ProcCallOf(const CallSlot& slot, ProcTransport::BatchCall& call);
+  ProcTransport::KillPhase InjectedKillPhase();
+  bool ReadProcLeg(const ProcTransport::BatchCall& call, CallSlot& slot);
+  void ServerLeg(Processor& cpu, Thread& t, DomainId server, CallSlot& slot,
+                 const ProcTransport::BatchCall* proc_call);
+  static Status DeadPeerStatus(const CallSlot& slot);
+
+  // Kernel return leg: Ok when the linkage pops normally; otherwise the
+  // call ended in the kernel (captured, unwound or revoked).
+  Status KernelReturnLeg(Processor& cpu, Thread& t, CallSlot& slot);
+
+  // Client stub, return half, after the transfer back into the client:
+  // unmarshal, release, requeue. Returns the call's status.
+  Status ClientReturnHalf(Processor& cpu, CallSlot& slot);
+
+  // Releases the call's out-of-band segments and, when `requeue`, hands the
+  // A-stack back to the free structure it was popped from.
+  void ReturnAStack(Processor& cpu, CallSlot& slot, bool requeue);
+  // Ends a call that holds its linkage claim: the claim is dropped and the
+  // A-stack returned (requeued unless its binding died; see call.cc).
+  void EndCall(Processor& cpu, CallSlot& slot, bool requeue);
 
   // Inline-path marshaling: one copy between the caller's window and the
   // linkage record's register window; model charges and copy statistics

@@ -10,6 +10,69 @@
 
 namespace lrpc {
 
+namespace {
+
+// Breaker admission for one supervised call: false when the circuit refuses
+// it; a null breaker admits everything. A state change (an open circuit's
+// cooldown elapsing into half-open) is announced to the kernel's listener.
+bool BreakerAdmits(Kernel& kernel, CircuitBreaker* breaker, SimTime now) {
+  if (breaker == nullptr) {
+    return true;
+  }
+  const CircuitState before = breaker->state();
+  const bool admitted = breaker->AllowCall(now);
+  if (breaker->state() != before) {
+    kernel.NotifyEvent(KernelEventKind::kCircuitStateChange);
+  }
+  return admitted;
+}
+
+// Folds a supervised call's final status into the breaker, announcing any
+// state change.
+void BreakerRecord(Kernel& kernel, CircuitBreaker* breaker,
+                   const Status& status, SimTime now) {
+  if (breaker == nullptr) {
+    return;
+  }
+  const CircuitState before = breaker->state();
+  if (status.ok()) {
+    breaker->OnSuccess();
+  } else {
+    breaker->OnFailure(now);
+  }
+  if (breaker->state() != before) {
+    kernel.NotifyEvent(KernelEventKind::kCircuitStateChange);
+  }
+}
+
+// The pause before a retry: the next backoff of the seeded schedule,
+// recorded in `backoffs`, slept in simulated time and announced.
+void BackOff(Processor& cpu, Kernel& kernel, const RetryPolicy& policy,
+             Rng& rng, std::vector<SimDuration>& backoffs,
+             SupervisedCall::Stats& stats) {
+  const SimDuration pause = SupervisedBackoff(policy, backoffs.size(), rng);
+  backoffs.push_back(pause);
+  ++stats.retries;
+  cpu.AdvanceTo(cpu.clock() + pause);
+  kernel.NotifyEvent(KernelEventKind::kSupervisorRetry);
+}
+
+// The highest live thread id homed in `client`: after a captured-thread
+// escape, the newest replacement AbandonCapturedCall created. kNoThread
+// when the domain has no live thread left.
+ThreadId NewestLiveThread(Kernel& kernel, DomainId client) {
+  ThreadId newest = kNoThread;
+  for (std::size_t i = 0; i < kernel.thread_count(); ++i) {
+    Thread& cand = kernel.thread(static_cast<ThreadId>(i));
+    if (cand.state() != ThreadState::kDead && cand.home_domain() == client) {
+      newest = cand.id();
+    }
+  }
+  return newest;
+}
+
+}  // namespace
+
 SimDuration SupervisedBackoff(const RetryPolicy& policy,
                               std::size_t retry_index, Rng& rng) {
   double base =
@@ -31,26 +94,13 @@ SupervisedCall::SupervisedCall(LrpcRuntime& runtime, SupervisionPolicy policy,
                                std::uint64_t seed)
     : runtime_(runtime), policy_(policy), rng_(seed) {}
 
-SimDuration SupervisedCall::NextBackoff(std::size_t retry_index) {
-  return SupervisedBackoff(policy_.retry, retry_index, rng_);
-}
-
 void SupervisedCall::AdoptReplacement(SupervisionOutcome& out) {
   Kernel& kernel = runtime_.kernel();
   Thread* current = kernel.FindThread(out.thread);
   if (current != nullptr && current->state() != ThreadState::kDead) {
     return;  // The thread survived (e.g. unwound with an exception).
   }
-  // Highest live thread id homed in the client domain: the newest
-  // replacement AbandonCapturedCall created.
-  const DomainId client = out.binding->client();
-  ThreadId replacement = kNoThread;
-  for (std::size_t i = 0; i < kernel.thread_count(); ++i) {
-    Thread& cand = kernel.thread(static_cast<ThreadId>(i));
-    if (cand.state() != ThreadState::kDead && cand.home_domain() == client) {
-      replacement = cand.id();
-    }
-  }
+  const ThreadId replacement = NewestLiveThread(kernel, out.binding->client());
   if (replacement != kNoThread) {
     out.thread = replacement;
     kernel.thread(replacement).TakeException();
@@ -114,21 +164,15 @@ SupervisionOutcome SupervisedCall::Call(Processor& cpu, ThreadId thread,
   const SimTime supervised_start = cpu.clock();
   const std::string_view name = binding->interface_spec()->name();
 
-  CircuitBreaker* breaker = nullptr;
-  if (policy_.breaker_enabled) {
-    breaker = &binding->EnsureBreaker(policy_.breaker);
-    const CircuitState before = breaker->state();
-    const bool admitted = breaker->AllowCall(cpu.clock());
-    if (breaker->state() != before) {
-      kernel.NotifyEvent(KernelEventKind::kCircuitStateChange);
-    }
-    if (!admitted) {
-      out.breaker_rejected = true;
-      ++stats_.breaker_rejections;
-      out.status = Status(ErrorCode::kCircuitOpen, "circuit breaker is open");
-      Trace(cpu, out, supervised_start, procedure);
-      return out;
-    }
+  CircuitBreaker* breaker = policy_.breaker_enabled
+                                ? &binding->EnsureBreaker(policy_.breaker)
+                                : nullptr;
+  if (!BreakerAdmits(kernel, breaker, cpu.clock())) {
+    out.breaker_rejected = true;
+    ++stats_.breaker_rejections;
+    out.status = Status(ErrorCode::kCircuitOpen, "circuit breaker is open");
+    Trace(cpu, out, supervised_start, procedure);
+    return out;
   }
 
   Status last = Status::Ok();
@@ -202,11 +246,7 @@ SupervisionOutcome SupervisedCall::Call(Processor& cpu, ThreadId thread,
       break;
     }
     --retries_left;
-    const SimDuration pause = NextBackoff(out.backoffs.size());
-    out.backoffs.push_back(pause);
-    ++stats_.retries;
-    cpu.AdvanceTo(cpu.clock() + pause);
-    kernel.NotifyEvent(KernelEventKind::kSupervisorRetry);
+    BackOff(cpu, kernel, policy_.retry, rng_, out.backoffs, stats_);
   }
 
   out.status = last;
@@ -214,17 +254,7 @@ SupervisionOutcome SupervisedCall::Call(Processor& cpu, ThreadId thread,
     out.recovered = true;
     ++stats_.recovered_calls;
   }
-  if (breaker != nullptr) {
-    const CircuitState before = breaker->state();
-    if (last.ok()) {
-      breaker->OnSuccess();
-    } else {
-      breaker->OnFailure(cpu.clock());
-    }
-    if (breaker->state() != before) {
-      kernel.NotifyEvent(KernelEventKind::kCircuitStateChange);
-    }
-  }
+  BreakerRecord(kernel, breaker, last, cpu.clock());
   Trace(cpu, out, supervised_start, procedure);
   return out;
 }
@@ -269,17 +299,9 @@ Result<CallToken> SupervisedAsync::Submit(Processor& cpu, int procedure,
                                           std::span<const CallRet> rets) {
   Kernel& kernel = runtime_.kernel();
   ++stats_.calls;
-  if (policy_.breaker_enabled) {
-    CircuitBreaker& breaker = ring_.binding().EnsureBreaker(policy_.breaker);
-    const CircuitState before = breaker.state();
-    const bool admitted = breaker.AllowCall(cpu.clock());
-    if (breaker.state() != before) {
-      kernel.NotifyEvent(KernelEventKind::kCircuitStateChange);
-    }
-    if (!admitted) {
-      ++stats_.breaker_rejections;
-      return Status(ErrorCode::kCircuitOpen, "circuit breaker is open");
-    }
+  if (!BreakerAdmits(kernel, Breaker(), cpu.clock())) {
+    ++stats_.breaker_rejections;
+    return Status(ErrorCode::kCircuitOpen, "circuit breaker is open");
   }
 
   Pending pending;
@@ -315,12 +337,8 @@ Result<CallToken> SupervisedAsync::Submit(Processor& cpu, int procedure,
   while (!token.ok() && token.status().Retryable() &&
          pending.retries_left > 0) {
     --pending.retries_left;
-    const SimDuration pause = SupervisedBackoff(
-        policy_.retry, pending.outcome.backoffs.size(), rng_);
-    pending.outcome.backoffs.push_back(pause);
-    ++stats_.retries;
-    cpu.AdvanceTo(cpu.clock() + pause);
-    kernel.NotifyEvent(KernelEventKind::kSupervisorRetry);
+    BackOff(cpu, kernel, policy_.retry, rng_, pending.outcome.backoffs,
+            stats_);
     ++pending.outcome.attempts;
     token = ring_.Submit(cpu, procedure, std::span<const CallArg>(pending.args),
                          std::span<const CallRet>(pending.rets), collect);
@@ -331,14 +349,7 @@ Result<CallToken> SupervisedAsync::Submit(Processor& cpu, int procedure,
       status = Status(ErrorCode::kRetriesExhausted,
                       "transient failures outlasted the retry budget");
     }
-    if (policy_.breaker_enabled) {
-      CircuitBreaker& breaker = ring_.binding().EnsureBreaker(policy_.breaker);
-      const CircuitState before = breaker.state();
-      breaker.OnFailure(cpu.clock());
-      if (breaker.state() != before) {
-        kernel.NotifyEvent(KernelEventKind::kCircuitStateChange);
-      }
-    }
+    BreakerRecord(kernel, Breaker(), status, cpu.clock());
     return status;
   }
   ++pending.outcome.attempts;
@@ -356,29 +367,18 @@ void SupervisedAsync::Finalize(Processor& cpu, Pending& pending,
     pending.outcome.recovered = true;
     ++stats_.recovered_calls;
   }
-  if (policy_.breaker_enabled) {
-    Kernel& kernel = runtime_.kernel();
-    CircuitBreaker& breaker = ring_.binding().EnsureBreaker(policy_.breaker);
-    const CircuitState before = breaker.state();
-    if (status.ok()) {
-      breaker.OnSuccess();
-    } else {
-      breaker.OnFailure(cpu.clock());
-    }
-    if (breaker.state() != before) {
-      kernel.NotifyEvent(KernelEventKind::kCircuitStateChange);
-    }
-  }
+  BreakerRecord(runtime_.kernel(), Breaker(), status, cpu.clock());
+}
+
+CircuitBreaker* SupervisedAsync::Breaker() {
+  return policy_.breaker_enabled
+             ? &ring_.binding().EnsureBreaker(policy_.breaker)
+             : nullptr;
 }
 
 void SupervisedAsync::Resubmit(Processor& cpu, Pending& pending) {
-  Kernel& kernel = runtime_.kernel();
-  const SimDuration pause =
-      SupervisedBackoff(policy_.retry, pending.outcome.backoffs.size(), rng_);
-  pending.outcome.backoffs.push_back(pause);
-  ++stats_.retries;
-  cpu.AdvanceTo(cpu.clock() + pause);
-  kernel.NotifyEvent(KernelEventKind::kSupervisorRetry);
+  BackOff(cpu, runtime_.kernel(), policy_.retry, rng_,
+          pending.outcome.backoffs, stats_);
   ++pending.outcome.attempts;
   Result<CallToken> token = ring_.Submit(
       cpu, pending.outcome.procedure, std::span<const CallArg>(pending.args),
@@ -398,16 +398,9 @@ bool SupervisedAsync::ReviveRing(bool* revived) {
   ThreadId replacement = kNoThread;
   const bool fired = kernel.ConsumeWatchdogFire(ring_.thread(), &replacement);
   if (replacement == kNoThread) {
-    // A plain captured-thread escape (no watchdog): the newest live thread
-    // homed in the client domain is the replacement AbandonCapturedCall
-    // parked there.
-    const DomainId client = ring_.binding().client();
-    for (std::size_t i = 0; i < kernel.thread_count(); ++i) {
-      Thread& cand = kernel.thread(static_cast<ThreadId>(i));
-      if (cand.state() != ThreadState::kDead && cand.home_domain() == client) {
-        replacement = cand.id();
-      }
-    }
+    // A plain captured-thread escape (no watchdog): adopt the replacement
+    // AbandonCapturedCall parked in the client domain.
+    replacement = NewestLiveThread(kernel, ring_.binding().client());
   }
   if (replacement == kNoThread) {
     *revived = false;

@@ -144,9 +144,6 @@ class SupervisedCall {
   // the client domain.
   void AdoptReplacement(SupervisionOutcome& out);
 
-  // The retry_index-th backoff: exponential, capped, jittered from rng_.
-  SimDuration NextBackoff(std::size_t retry_index);
-
   // Records the supervised outcome as a kSupervised tracer event.
   void Trace(Processor& cpu, const SupervisionOutcome& out, SimTime started,
              int procedure);
@@ -233,6 +230,8 @@ class SupervisedAsync {
   Pending* FindPending(CallToken current_token);
   // Final status: breaker fold, recovery accounting, done.
   void Finalize(Processor& cpu, Pending& pending, Status status);
+  // The ring binding's breaker; null when the policy disables it.
+  CircuitBreaker* Breaker();
   // Backoff pause + kSupervisorRetry + AsyncRing::Submit with a fresh
   // token; finalizes the entry instead when the ring refuses terminally.
   void Resubmit(Processor& cpu, Pending& pending);

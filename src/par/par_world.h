@@ -72,7 +72,8 @@ class ParWorld {
   int biginout_proc() const { return biginout_proc_; }
 
   // --- Per-worker callers (worker w's processor, thread and binding).
-  // Route through CallParallel on the parallel backend, Call otherwise. ---
+  // Route through ParallelMachine::Call on the parallel backend,
+  // LrpcRuntime::Call otherwise. ---
   Status CallNull(int w, CallStats* stats = nullptr);
   Status CallAdd(int w, std::int32_t a, std::int32_t b, std::int32_t* sum,
                  CallStats* stats = nullptr);

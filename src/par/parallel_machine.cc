@@ -79,8 +79,8 @@ Status ParallelMachine::Call(int w, ThreadId thread, ClientBinding& binding,
                              int procedure, std::span<const CallArg> args,
                              std::span<const CallRet> rets, CallStats& stats) {
   LRPC_CHECK(adopted_);
-  return runtime_.CallParallel(runtime_.machine().processor(w), thread,
-                               binding, procedure, args, rets, stats);
+  return runtime_.Call(runtime_.machine().processor(w), thread, binding,
+                       procedure, args, rets, &stats);
 }
 
 ParallelMachine::RunReport ParallelMachine::RunWorkers(

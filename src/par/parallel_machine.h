@@ -13,9 +13,9 @@
 //
 // The engine reuses the existing kernel call path: AdoptWorld() flips an
 // already-built world (domains, bindings, A-stacks) over to the concurrent
-// structures, and workers drive LrpcRuntime::CallParallel on their own
-// Processor. The deterministic simulator stays the default backend and is
-// untouched by any of this.
+// structures, and workers drive LrpcRuntime::Call on their own Processor.
+// The deterministic simulator stays the default backend and is untouched by
+// any of this.
 
 #ifndef SRC_PAR_PARALLEL_MACHINE_H_
 #define SRC_PAR_PARALLEL_MACHINE_H_

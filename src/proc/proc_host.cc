@@ -271,7 +271,7 @@ Status ProcHost::SpawnServer(DomainId server, const Interface* iface) {
         ProcBatchEntry& entry = ch->batch[i];
         const Status handler_status = ChildRunHandler(
             self, cpu, entry.procedure, entry.inline_window != 0,
-            entry.payload, entry.payload_len);
+            entry.payload, entry.payload_len, kProcBatchEntryBytes);
         entry.handler_code = static_cast<std::int32_t>(handler_status.code());
         entry.done.store(1, std::memory_order_release);
       }
@@ -291,7 +291,7 @@ Status ProcHost::SpawnServer(DomainId server, const Interface* iface) {
 
     const Status handler_status = ChildRunHandler(
         self, cpu, ch->procedure, ch->inline_window != 0, ch->payload,
-        ch->payload_len);
+        ch->payload_len, kProcPayloadBytes);
 
     ch->handler_code = static_cast<std::int32_t>(handler_status.code());
     handled = seen;
@@ -307,7 +307,8 @@ Status ProcHost::SpawnServer(DomainId server, const Interface* iface) {
 
 Status ProcHost::ChildRunHandler(Endpoint& self, Processor& cpu,
                                  int procedure, bool inline_window,
-                                 std::uint8_t* payload, std::size_t len) {
+                                 std::uint8_t* payload, std::size_t len,
+                                 std::size_t capacity) {
   if (procedure < 0 || procedure >= self.iface->procedure_count()) {
     return Status(ErrorCode::kNoSuchProcedure);
   }
@@ -319,6 +320,13 @@ Status ProcHost::ChildRunHandler(Endpoint& self, Processor& cpu,
   // serves arguments straight from the payload instead.
   const std::size_t scratch_size =
       pd.astack_size > 0 ? pd.astack_size : kLinkageRegsSize;
+  // `len` comes from memory the client process can write: a window longer
+  // than the scratch A-stack or the payload area would overrun one of them
+  // in the copies below.
+  if (len > scratch_size || len > capacity) {
+    return Status(ErrorCode::kInvalidArgument,
+                  "argument window exceeds the procedure's A-stack");
+  }
   AStackRegion scratch(client, self.domain, scratch_size, 1, false);
   const AStackRef ref{&scratch, 0};
   ServerFrame frame(nullptr, cpu, def, ref, self.domain, client, caller,

@@ -112,11 +112,14 @@ class ProcHost : public ProcTransport {
 
   // Serve loop of the forked child; never returns.
   [[noreturn]] void ChildServe(Endpoint& self);
-  // One handler execution in the child, against `payload` as the argument
-  // window; shared by the single-call and batched serve paths.
+  // One handler execution in the child, against `payload` (`capacity`
+  // bytes) as the argument window; shared by the single-call and batched
+  // serve paths. The other arguments are channel header fields, read once
+  // by the caller; a `len` the procedure's A-stack or the payload cannot
+  // hold fails kInvalidArgument.
   Status ChildRunHandler(Endpoint& self, Processor& cpu, int procedure,
                          bool inline_window, std::uint8_t* payload,
-                         std::size_t len);
+                         std::size_t len, std::size_t capacity);
 
   // Reaps (if needed) and marks an endpoint's corpse; idempotent.
   void MarkDead(Endpoint& ep);

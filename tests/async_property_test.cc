@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <cstring>
 #include <random>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -235,12 +236,11 @@ TEST(AsyncProperty, AsyncEqualsSyncOnTheParallelBackend) {
         const int proc =
             ProcOf(plan[i], sync_world.null_proc(), sync_world.add_proc(),
                    sync_world.bigin_proc(), sync_world.biginout_proc());
-        CallStats stats;
         sync[i].code = sync_world.runtime()
-                           .CallParallel(sync_world.machine().processor(0),
-                                         sync_world.worker_thread(0),
-                                         sync_world.worker_binding(0), proc,
-                                         args, rets, stats)
+                           .Call(sync_world.machine().processor(0),
+                                 sync_world.worker_thread(0),
+                                 sync_world.worker_binding(0), proc, args,
+                                 rets)
                            .code();
       }
     }
@@ -281,6 +281,74 @@ TEST(AsyncProperty, AsyncEqualsSyncOnTheParallelBackend) {
     checker.CheckNow("after parallel async batch");
     EXPECT_TRUE(checker.ok())
         << "seed " << seed << ": " << checker.violations().front();
+  }
+}
+
+TEST(AsyncProperty, DepthOneCostsExactlyOneSyncCall) {
+  // A depth-1 flush runs the synchronous call's phases, with the client
+  // stub's return half after the return transfer, so in steady state one
+  // Submit+Drain advances the clock, every cost-ledger category and the TLB
+  // miss count by exactly one sync Call's worth — on one processor, and with
+  // an idle processor parked in the server (the exchange path).
+  struct Delta {
+    SimDuration clock = 0;
+    CostLedger ledger;
+    std::uint64_t misses = 0;
+  };
+  for (const bool parked : {false, true}) {
+    for (int kind = 0; kind < 4; ++kind) {
+      TestbedOptions options;
+      options.processors = parked ? 2 : 1;
+      options.park_idle_in_server = parked;
+      Testbed bed(options);
+      AsyncRing ring(bed.runtime(), bed.binding(), bed.client_thread(), 1);
+      PlannedCall call;
+      call.kind = kind;
+      Outcome out;
+      std::vector<CallArg> args;
+      std::vector<CallRet> rets;
+      BindViews(call, out, args, rets);
+      const int proc = ProcOf(call, bed.null_proc(), bed.add_proc(),
+                              bed.bigin_proc(), bed.biginout_proc());
+      auto sync_call = [&] {
+        return bed.runtime().Call(bed.cpu(), bed.client_thread(), bed.binding(),
+                                  proc, args, rets);
+      };
+      auto ring_call = [&] {
+        const Result<CallToken> token = ring.Submit(bed.cpu(), proc, args, rets);
+        ring.Drain(bed.cpu());
+        const std::vector<AsyncCompletion> done = ring.TakeResults();
+        return token.ok() && done.size() == 1 ? done[0].status
+                                               : Status(ErrorCode::kCallFailed);
+      };
+      // Each path is measured in its own steady state: the E-stack is
+      // associated and the TLB holds what the previous call of the same
+      // path left behind.
+      auto measure = [&](const auto& one_call) {
+        for (int i = 0; i < 3; ++i) {
+          EXPECT_TRUE(one_call().ok());
+        }
+        Processor& cpu = bed.cpu();
+        const SimTime clock = cpu.clock();
+        const CostLedger ledger = cpu.ledger();
+        const std::uint64_t misses = cpu.tlb().miss_count();
+        EXPECT_TRUE(one_call().ok());
+        return Delta{cpu.clock() - clock, cpu.ledger().Diff(ledger),
+                     cpu.tlb().miss_count() - misses};
+      };
+      const Delta sync = measure(sync_call);
+      const Delta async = measure(ring_call);
+
+      const std::string where = std::string(parked ? "parked" : "one cpu") +
+                                ", kind " + std::to_string(kind);
+      EXPECT_EQ(async.clock, sync.clock) << where;
+      for (int c = 0; c < static_cast<int>(CostCategory::kCategoryCount); ++c) {
+        const auto category = static_cast<CostCategory>(c);
+        EXPECT_EQ(async.ledger.total(category), sync.ledger.total(category))
+            << where << ", " << CostCategoryName(category);
+      }
+      EXPECT_EQ(async.misses, sync.misses) << where;
+    }
   }
 }
 

@@ -14,6 +14,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "src/common/rng.h"
 #include "src/lrpc/async_call.h"
@@ -115,6 +116,29 @@ TEST(ProcBackendTest, SpawnIsRefusedWithoutAMatchingExport) {
   iface->Seal();
   const Status status = world.host().SpawnServer(rogue, iface);
   EXPECT_EQ(status.code(), ErrorCode::kNoSuchInterface);
+}
+
+// --- The server checks the window length it reads from shared memory. ---
+
+TEST(ProcBackendTest, OversizedWindowIsRejectedAndTheServerSurvives) {
+  SKIP_WITHOUT_FORK();
+  ProcWorld world;
+  ASSERT_TRUE(world.ok()) << world.spawn_status().detail();
+
+  // A full channel payload is far longer than Add's A-stack: the server
+  // must refuse the length rather than copy it into its scratch A-stack.
+  std::vector<std::uint8_t> window(kProcPayloadBytes, 0xab);
+  Status handler_status;
+  const Status leg = world.host().Execute(
+      world.server_domain(), world.client_domain(), world.add_proc(),
+      /*inline_window=*/false, window.data(), window.size(), &handler_status,
+      ProcTransport::KillPhase::kNone);
+  ASSERT_TRUE(leg.ok()) << ErrorCodeName(leg.code());
+  EXPECT_EQ(handler_status.code(), ErrorCode::kInvalidArgument);
+
+  std::int32_t sum = 0;
+  ASSERT_TRUE(world.CallAdd(1200, 34, &sum).ok());
+  EXPECT_EQ(sum, 1234);
 }
 
 // --- Peer death: detection, status split, collection, reclamation. ---
@@ -411,6 +435,30 @@ TEST(ProcAsyncTest, PreAcceptBatchDeathIsRetryableForEveryEntry) {
   }
   EXPECT_EQ(world.counters().calls.load(std::memory_order_acquire), 0u);
   EXPECT_EQ(world.host().CollectDead(), 1);
+}
+
+TEST(ProcAsyncTest, OversizedBatchEntryIsRejectedAndTheServerSurvives) {
+  SKIP_WITHOUT_FORK();
+  ProcWorld world;
+  ASSERT_TRUE(world.ok()) << world.spawn_status().detail();
+
+  // A full batch entry is far longer than Null's scratch A-stack.
+  std::vector<std::uint8_t> window(kProcBatchEntryBytes, 0xcd);
+  ProcTransport::BatchCall call;
+  call.procedure = world.null_proc();
+  call.window = window.data();
+  call.window_len = window.size();
+  ASSERT_TRUE(world.host()
+                  .ExecuteBatch(world.server_domain(), world.client_domain(),
+                                std::span<ProcTransport::BatchCall>(&call, 1),
+                                ProcTransport::KillPhase::kNone)
+                  .ok());
+  ASSERT_TRUE(call.leg.ok()) << ErrorCodeName(call.leg.code());
+  EXPECT_EQ(call.handler_status.code(), ErrorCode::kInvalidArgument);
+
+  std::int32_t sum = 0;
+  ASSERT_TRUE(world.CallAdd(1200, 34, &sum).ok());
+  EXPECT_EQ(sum, 1234);
 }
 
 TEST(ProcChaosTest, AsyncBurstSchedulesSurviveRealProcessDeath) {
