@@ -68,9 +68,9 @@ double MeasureTaos(int proc_kind) {
   const ThreadId thread = kernel.CreateThread(client);
   Interface iface(0, "paper.Measures", server);
   int null_proc, add_proc, bigin_proc, biginout_proc;
-  std::uint64_t seen;
+  PaperCounters counters;
   AddPaperProcedures(&iface, &null_proc, &add_proc, &bigin_proc,
-                     &biginout_proc, &seen);
+                     &biginout_proc, counters);
   iface.Seal();
   MsgServer* msg_server = system.RegisterServer(server, &iface);
   MsgBinding binding = system.Bind(client, msg_server);

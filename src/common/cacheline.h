@@ -1,7 +1,7 @@
 // Cache-line alignment for fast-path structures.
 //
 // The host call path crosses a handful of hot structures on every LRPC:
-// the A-stack linkage record, the free-list head, the sharded binding-table
+// the A-stack linkage record, the free-list head, the binding-table
 // entry, the client binding and the per-processor state. Keeping each on its
 // own cache line (and packing the fields a Null call touches into one line)
 // is what docs/fast_path.md calls the layout audit: every aligned structure

@@ -392,15 +392,12 @@ Result<Thread*> LrpcRuntime::ClientCallHalf(Processor& cpu, ThreadId thread_id,
   return caller;
 }
 
-// Verifies the Binding Object. In parallel mode the leg validates against
-// the sharded mirror through the per-thread binding cache: a repeat call
-// skips even the seqlock read until a table mutation bumps the generation
-// (docs/fast_path.md).
+// Verifies the Binding Object against the kernel's table through the
+// per-thread binding cache: a repeat call skips even the seqlock read until
+// a table mutation bumps the generation (docs/fast_path.md).
 Result<BindingRecord*> LrpcRuntime::ValidateBinding(
     const ClientBinding& binding) {
-  return par_bindings_ != nullptr
-             ? par_bindings_->ValidateCached(binding.object(), binding.client())
-             : kernel_.bindings().Validate(binding.object(), binding.client());
+  return kernel_.bindings().ValidateCached(binding.object(), binding.client());
 }
 
 // Kernel, call leg, in the context of the client's thread: charges, then

@@ -143,16 +143,15 @@ ChaosResult RunChaosSchedule(const ChaosOptions& options) {
   // --- Build the world (no faults during setup: it always starts bound). ---
   std::vector<ServerCtx> servers;
   Procs procs;  // AddPaperProcedures assigns the same indices everywhere.
-  std::vector<std::unique_ptr<std::uint64_t>> bytes_seen;
+  PaperCounters counters;  // Shared by every server; the schedule checks
+                           // call results, not these counts.
   for (int s = 0; s < options.servers; ++s) {
     ServerCtx ctx;
     ctx.name = "chaos.svc" + std::to_string(s);
     ctx.domain = kernel.CreateDomain({.name = ctx.name});
     Interface* iface = runtime.CreateInterface(ctx.domain, ctx.name);
-    bytes_seen.push_back(std::make_unique<std::uint64_t>(0));
     AddPaperProcedures(iface, &procs.null_proc, &procs.add_proc,
-                       &procs.bigin_proc, &procs.biginout_proc,
-                       bytes_seen.back().get());
+                       &procs.bigin_proc, &procs.biginout_proc, counters);
     if (!runtime.Export(iface).ok()) {
       result.undocumented.push_back("setup: export failed for " + ctx.name);
       return result;

@@ -28,7 +28,6 @@
 #include "src/common/status.h"
 #include "src/common/thread_annotations.h"
 #include "src/kern/kernel.h"
-#include "src/kern/sharded_binding_table.h"
 #include "src/lrpc/call_tracer.h"
 #include "src/lrpc/clerk.h"
 #include "src/lrpc/client_binding.h"
@@ -38,6 +37,10 @@
 #include "src/nameserver/name_server.h"
 
 namespace lrpc {
+
+// The kernel's table is the only Binding Object table; perfbench/ still
+// names it by the class it replaced.
+using ShardedBindingTable = BindingTable;
 
 // One input argument as passed by the caller (client stack bytes).
 struct CallArg {
@@ -178,12 +181,8 @@ class LrpcRuntime {
                       &stats);
   }
 
-  // Installs the sharded mirror the call leg validates against in parallel
-  // mode (non-owning; the ParallelMachine owns it). Null detaches.
-  void AttachShardedBindings(ShardedBindingTable* table) {
-    par_bindings_ = table;
-  }
-  ShardedBindingTable* sharded_bindings() { return par_bindings_; }
+  // The kernel's Binding Object table, by the name perfbench/ reads it.
+  BindingTable* sharded_bindings() { return &kernel_.bindings(); }
 
   // --- Multi-process backend (src/proc, docs/multiprocess.md). ---
   // Installs the transport the server-execution leg routes through on the
@@ -359,7 +358,6 @@ class LrpcRuntime {
 
   Kernel& kernel_;
   RuntimeBackend backend_ = RuntimeBackend::kDeterministicSim;
-  ShardedBindingTable* par_bindings_ = nullptr;
   ProcTransport* proc_ = nullptr;
   NameServer names_;
   std::vector<std::unique_ptr<Interface>> interfaces_;

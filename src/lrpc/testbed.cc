@@ -8,23 +8,29 @@ namespace lrpc {
 
 void AddPaperProcedures(Interface* iface, int* null_proc, int* add_proc,
                         int* bigin_proc, int* biginout_proc,
-                        std::uint64_t* server_bytes_seen) {
+                        PaperCounters& counters, int simultaneous_calls) {
   {
     ProcedureDef def;
     def.name = "Null";
-    def.handler = [](ServerFrame&) { return Status::Ok(); };
+    def.simultaneous_calls = simultaneous_calls;
+    def.handler = [&counters](ServerFrame&) {
+      // LRPC_MO(stat-counter)
+      counters.calls.fetch_add(1, std::memory_order_relaxed);
+      return Status::Ok();
+    };
     *null_proc = iface->AddProcedure(std::move(def));
   }
   {
     ProcedureDef def;
     def.name = "Add";
+    def.simultaneous_calls = simultaneous_calls;
     def.params.push_back({.name = "a", .direction = ParamDirection::kIn,
                           .size = 4});
     def.params.push_back({.name = "b", .direction = ParamDirection::kIn,
                           .size = 4});
     def.params.push_back({.name = "sum", .direction = ParamDirection::kOut,
                           .size = 4});
-    def.handler = [](ServerFrame& frame) -> Status {
+    def.handler = [&counters](ServerFrame& frame) -> Status {
       Result<std::int32_t> a = frame.Arg<std::int32_t>(0);
       Result<std::int32_t> b = frame.Arg<std::int32_t>(1);
       if (!a.ok()) {
@@ -33,6 +39,8 @@ void AddPaperProcedures(Interface* iface, int* null_proc, int* add_proc,
       if (!b.ok()) {
         return b.status();
       }
+      // LRPC_MO(stat-counter)
+      counters.calls.fetch_add(1, std::memory_order_relaxed);
       // Two's-complement wraparound; callers probe INT_MAX + 1, which is UB
       // on signed ints.
       const auto sum = static_cast<std::int32_t>(static_cast<std::uint32_t>(*a) +
@@ -44,20 +52,24 @@ void AddPaperProcedures(Interface* iface, int* null_proc, int* add_proc,
   {
     ProcedureDef def;
     def.name = "BigIn";
+    def.simultaneous_calls = simultaneous_calls;
     def.params.push_back({.name = "data", .direction = ParamDirection::kIn,
                           .size = kBigSize});
-    def.handler = [server_bytes_seen](ServerFrame& frame) -> Status {
+    def.handler = [&counters](ServerFrame& frame) -> Status {
       Result<const std::uint8_t*> view = frame.ArgView(0);
       if (!view.ok()) {
         return view.status();
       }
-      if (server_bytes_seen != nullptr) {
-        std::uint64_t sum = 0;
-        for (std::size_t i = 0; i < kBigSize; ++i) {
-          sum += (*view)[i];
-        }
-        *server_bytes_seen = sum;
+      std::uint64_t sum = 0;
+      for (std::size_t i = 0; i < kBigSize; ++i) {
+        sum += (*view)[i];
       }
+      // Accumulate, not overwrite: concurrent handlers must not lose each
+      // other's observation (the par stress test balances the grand total).
+      // LRPC_MO(stat-counter)
+      counters.bigin_bytes.fetch_add(sum, std::memory_order_relaxed);
+      // LRPC_MO(stat-counter)
+      counters.calls.fetch_add(1, std::memory_order_relaxed);
       return Status::Ok();
     };
     *bigin_proc = iface->AddProcedure(std::move(def));
@@ -65,16 +77,19 @@ void AddPaperProcedures(Interface* iface, int* null_proc, int* add_proc,
   {
     ProcedureDef def;
     def.name = "BigInOut";
+    def.simultaneous_calls = simultaneous_calls;
     def.params.push_back({.name = "in", .direction = ParamDirection::kIn,
                           .size = kBigSize});
     def.params.push_back({.name = "out", .direction = ParamDirection::kOut,
                           .size = kBigSize});
-    def.handler = [](ServerFrame& frame) -> Status {
+    def.handler = [&counters](ServerFrame& frame) -> Status {
       std::uint8_t buffer[kBigSize];
       Result<std::size_t> n = frame.ReadArg(0, buffer, sizeof(buffer));
       if (!n.ok()) {
         return n.status();
       }
+      // LRPC_MO(stat-counter)
+      counters.calls.fetch_add(1, std::memory_order_relaxed);
       // Echo reversed, so tests can prove the server really transformed it.
       std::reverse(buffer, buffer + kBigSize);
       return frame.WriteResult(1, buffer, kBigSize);
@@ -95,7 +110,7 @@ Testbed::Testbed(TestbedOptions options) : options_(options) {
 
   iface_ = runtime_->CreateInterface(server_, "paper.Measures");
   AddPaperProcedures(iface_, &null_proc_, &add_proc_, &bigin_proc_,
-                     &biginout_proc_, &server_bytes_seen_);
+                     &biginout_proc_, counters_);
   LRPC_CHECK_OK(runtime_->Export(iface_));
 
   Result<ClientBinding*> bound = runtime_->Import(cpu(0), client_, iface_->name());

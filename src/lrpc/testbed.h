@@ -10,6 +10,7 @@
 #ifndef SRC_LRPC_TESTBED_H_
 #define SRC_LRPC_TESTBED_H_
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 
@@ -19,6 +20,16 @@
 namespace lrpc {
 
 inline constexpr std::size_t kBigSize = 200;
+
+// What the paper procedures' handlers count. Atomic because on the parallel
+// backend several workers run the handlers at once.
+struct PaperCounters {
+  // Completed handler executions (a handler that rejects its arguments does
+  // not count).
+  std::atomic<std::uint64_t> calls{0};
+  // Sum of every byte BigIn observed, accumulated across calls.
+  std::atomic<std::uint64_t> bigin_bytes{0};
+};
 
 struct TestbedOptions {
   MachineModel model = MachineModel::CVaxFirefly();
@@ -57,9 +68,12 @@ class Testbed {
   Status CallBigInOut(const std::uint8_t (&in)[kBigSize],
                       std::uint8_t (&out)[kBigSize], CallStats* stats = nullptr);
 
-  // Number of bytes the server observed in its last BigIn call (functional
-  // verification that data really crossed domains).
-  std::uint64_t server_bytes_seen() const { return server_bytes_seen_; }
+  // Sum of the bytes the server observed across its BigIn calls
+  // (functional verification that data really crossed domains).
+  std::uint64_t server_bytes_seen() const {
+    // LRPC_MO(stat-counter)
+    return counters_.bigin_bytes.load(std::memory_order_relaxed);
+  }
 
  private:
   TestbedOptions options_;
@@ -75,15 +89,17 @@ class Testbed {
   int add_proc_ = -1;
   int bigin_proc_ = -1;
   int biginout_proc_ = -1;
-  std::uint64_t server_bytes_seen_ = 0;
+  PaperCounters counters_;
 };
 
 // Adds the four Table 4 procedures to `iface`, with handlers that really
-// compute (Add sums, BigInOut echoes bytes reversed). Returns the indices
-// via the out-params.
+// compute (Add sums, BigInOut echoes bytes reversed) and count into
+// `counters`, which must outlive every call. Each procedure admits
+// `simultaneous_calls` concurrent calls (the paper's default is five,
+// Section 5.2). Returns the indices via the out-params.
 void AddPaperProcedures(Interface* iface, int* null_proc, int* add_proc,
                         int* bigin_proc, int* biginout_proc,
-                        std::uint64_t* server_bytes_seen);
+                        PaperCounters& counters, int simultaneous_calls = 5);
 
 }  // namespace lrpc
 

@@ -1,10 +1,8 @@
 #include "src/par/par_world.h"
 
-#include <algorithm>
 #include <string>
 
 #include "src/common/check.h"
-#include "src/lrpc/server_frame.h"
 
 namespace lrpc {
 
@@ -47,91 +45,8 @@ ParWorld::ParWorld(ParWorldOptions options) : options_(options) {
   }
 
   iface_ = runtime_->CreateInterface(server_, "par.Measures");
-  {
-    ProcedureDef def;
-    def.name = "Null";
-    def.simultaneous_calls = options_.astacks_per_group;
-    def.handler = [this](ServerFrame&) {
-      // LRPC_MO(stat-counter)
-      server_calls_seen_.fetch_add(1, std::memory_order_relaxed);
-      return Status::Ok();
-    };
-    null_proc_ = iface_->AddProcedure(std::move(def));
-  }
-  {
-    ProcedureDef def;
-    def.name = "Add";
-    def.simultaneous_calls = options_.astacks_per_group;
-    def.params.push_back(
-        {.name = "a", .direction = ParamDirection::kIn, .size = 4});
-    def.params.push_back(
-        {.name = "b", .direction = ParamDirection::kIn, .size = 4});
-    def.params.push_back(
-        {.name = "sum", .direction = ParamDirection::kOut, .size = 4});
-    def.handler = [this](ServerFrame& frame) -> Status {
-      Result<std::int32_t> a = frame.Arg<std::int32_t>(0);
-      Result<std::int32_t> b = frame.Arg<std::int32_t>(1);
-      if (!a.ok()) {
-        return a.status();
-      }
-      if (!b.ok()) {
-        return b.status();
-      }
-      // LRPC_MO(stat-counter)
-      server_calls_seen_.fetch_add(1, std::memory_order_relaxed);
-      // Unsigned wraparound, as in Testbed: callers probe INT_MAX + 1.
-      const auto sum = static_cast<std::int32_t>(
-          static_cast<std::uint32_t>(*a) + static_cast<std::uint32_t>(*b));
-      return frame.Result_<std::int32_t>(2, sum);
-    };
-    add_proc_ = iface_->AddProcedure(std::move(def));
-  }
-  {
-    ProcedureDef def;
-    def.name = "BigIn";
-    def.simultaneous_calls = options_.astacks_per_group;
-    def.params.push_back({.name = "data", .direction = ParamDirection::kIn,
-                          .size = kParBigSize});
-    def.handler = [this](ServerFrame& frame) -> Status {
-      Result<const std::uint8_t*> view = frame.ArgView(0);
-      if (!view.ok()) {
-        return view.status();
-      }
-      std::uint64_t sum = 0;
-      for (std::size_t i = 0; i < kParBigSize; ++i) {
-        sum += (*view)[i];
-      }
-      // Accumulate, not overwrite: concurrent handlers must not lose each
-      // other's observation (the stress test balances the grand total).
-      // LRPC_MO(stat-counter)
-      server_bytes_seen_.fetch_add(sum, std::memory_order_relaxed);
-      // LRPC_MO(stat-counter)
-      server_calls_seen_.fetch_add(1, std::memory_order_relaxed);
-      return Status::Ok();
-    };
-    bigin_proc_ = iface_->AddProcedure(std::move(def));
-  }
-  {
-    ProcedureDef def;
-    def.name = "BigInOut";
-    def.simultaneous_calls = options_.astacks_per_group;
-    def.params.push_back(
-        {.name = "in", .direction = ParamDirection::kIn, .size = kParBigSize});
-    def.params.push_back({.name = "out", .direction = ParamDirection::kOut,
-                          .size = kParBigSize});
-    def.handler = [this](ServerFrame& frame) -> Status {
-      std::uint8_t buffer[kParBigSize];
-      Result<std::size_t> n = frame.ReadArg(0, buffer, sizeof(buffer));
-      if (!n.ok()) {
-        return n.status();
-      }
-      // LRPC_MO(stat-counter)
-      server_calls_seen_.fetch_add(1, std::memory_order_relaxed);
-      std::reverse(buffer, buffer + kParBigSize);
-      return frame.WriteResult(1, buffer, kParBigSize);
-    };
-    biginout_proc_ = iface_->AddProcedure(std::move(def));
-  }
+  AddPaperProcedures(iface_, &null_proc_, &add_proc_, &bigin_proc_,
+                     &biginout_proc_, counters_, options_.astacks_per_group);
   LRPC_CHECK_OK(runtime_->Export(iface_));
 
   for (int d = 0; d < options_.domains; ++d) {

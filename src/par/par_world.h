@@ -5,9 +5,9 @@
 // the paper's four measurement procedures (Table 4). Worker w drives
 // processor w with its own kernel thread in client domain w % M; with M == 1
 // every worker contends on a single binding's free lists, the §3.4 pattern
-// bench_mt_throughput measures. Handlers here are thread-safe re-statements
-// of the Testbed ones (the server-side counters are atomics), because with
-// the parallel backend several workers execute them concurrently.
+// bench_mt_throughput measures. The handlers are Testbed's
+// (AddPaperProcedures), whose counters are atomics because with the
+// parallel backend several workers execute them concurrently.
 //
 // The world also builds with the deterministic-simulator backend
 // (workers == 1): the equivalence property test runs the same call sequence
@@ -16,17 +16,17 @@
 #ifndef SRC_PAR_PAR_WORLD_H_
 #define SRC_PAR_PAR_WORLD_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <vector>
 
 #include "src/lrpc/runtime.h"
+#include "src/lrpc/testbed.h"
 #include "src/par/parallel_machine.h"
 
 namespace lrpc {
 
-inline constexpr std::size_t kParBigSize = 200;
+inline constexpr std::size_t kParBigSize = kBigSize;
 
 struct ParWorldOptions {
   MachineModel model = MachineModel::CVaxFirefly();
@@ -87,12 +87,12 @@ class ParWorld {
   // tests balance this against what the clients sent).
   std::uint64_t server_bytes_seen() const {
     // LRPC_MO(stat-counter)
-    return server_bytes_seen_.load(std::memory_order_relaxed);
+    return counters_.bigin_bytes.load(std::memory_order_relaxed);
   }
   // Completed server executions, counted inside the handlers.
   std::uint64_t server_calls_seen() const {
     // LRPC_MO(stat-counter)
-    return server_calls_seen_.load(std::memory_order_relaxed);
+    return counters_.calls.load(std::memory_order_relaxed);
   }
 
  private:
@@ -114,8 +114,7 @@ class ParWorld {
   int add_proc_ = -1;
   int bigin_proc_ = -1;
   int biginout_proc_ = -1;
-  std::atomic<std::uint64_t> server_bytes_seen_{0};
-  std::atomic<std::uint64_t> server_calls_seen_{0};
+  PaperCounters counters_;
 };
 
 }  // namespace lrpc

@@ -9,20 +9,8 @@
 
 namespace lrpc {
 
-namespace {
-
-ShardedBindingTable::Options TableOptions(const ParallelOptions& options) {
-  ShardedBindingTable::Options table;
-  table.shards = options.binding_shards;
-  table.lock_free = options.lock_free;
-  table.max_bindings = options.max_bindings;
-  return table;
-}
-
-}  // namespace
-
 ParallelMachine::ParallelMachine(LrpcRuntime& runtime, ParallelOptions options)
-    : runtime_(runtime), options_(options), bindings_(TableOptions(options)) {
+    : runtime_(runtime), options_(options) {
   LRPC_CHECK(runtime_.backend() == RuntimeBackend::kParallelHost);
   LRPC_CHECK(options_.workers >= 1);
   LRPC_CHECK(runtime_.machine().processor_count() >= options_.workers);
@@ -38,8 +26,7 @@ void ParallelMachine::AdoptWorld() {
   runtime_.machine().EnableParallelIdle(
       static_cast<int>(kernel.domain_count()) + 1);
 
-  bindings_.MirrorFrom(kernel.bindings());
-  runtime_.AttachShardedBindings(&bindings_);
+  kernel.bindings().set_lock_free(options_.lock_free);
 
   for (const auto& binding : runtime_.bindings()) {
     if (binding->object().remote) {

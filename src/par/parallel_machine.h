@@ -1,15 +1,16 @@
 // ParallelMachine: the real-thread execution engine (docs/concurrency.md).
 //
 // Maps each simulated Processor onto a dedicated std::thread and re-routes
-// the three shared structures on the LRPC critical path through their
+// the shared structures on the LRPC critical path through their
 // host-concurrent re-implementations:
 //
 //   A-stack free lists   ParFreeList (Treiber stack, or the single-lock
 //                        baseline) installed per binding per group
-//   binding validation   ShardedBindingTable, a seqlock-per-entry mirror of
-//                        the kernel's table
 //   idle processors      IdleProcessorRegistry, an atomic slot per cpu that
 //                        makes the Section 3.4 exchange a lock-free claim
+//
+// Binding validation needs no re-routing: the kernel's own table is a
+// seqlock table on every backend (src/kern/binding_table.h).
 //
 // The engine reuses the existing kernel call path: AdoptWorld() flips an
 // already-built world (domains, bindings, A-stacks) over to the concurrent
@@ -29,7 +30,6 @@
 #include <vector>
 
 #include "src/common/status.h"
-#include "src/kern/sharded_binding_table.h"
 #include "src/lrpc/runtime.h"
 #include "src/shm/par_free_list.h"
 
@@ -42,11 +42,6 @@ struct ParallelOptions {
   // false selects the single-lock baselines (free lists and binding table),
   // the contention reference Figure 3 compares against.
   bool lock_free = true;
-  int binding_shards = 16;
-  // Capacity of the sharded binding mirror. The default suits the unit
-  // tests and benches; fleet-scale worlds (10k+ bindings, src/scale) must
-  // raise it — ids at or beyond the cap fail to mirror in AdoptWorld.
-  int max_bindings = 256;
 };
 
 class ParallelMachine {
@@ -54,12 +49,14 @@ class ParallelMachine {
   ParallelMachine(LrpcRuntime& runtime, ParallelOptions options);
 
   // Flips the runtime's already-built world over to the concurrent
-  // structures: enables the lock-free idle registry, mirrors the binding
-  // table into the sharded validator, and installs one ParFreeList per
-  // binding per A-stack group (seeded with the queue's current free set).
-  // Single-threaded; call once, after every Import and before any worker
-  // runs. Bindings are pinned to kFail exhaustion (growth would mutate the
-  // region list under concurrent readers).
+  // structures: enables the lock-free idle registry, sets the kernel
+  // binding table's lock mode, and installs one ParFreeList per binding per
+  // A-stack group (seeded with the queue's current free set).
+  // Single-threaded; call once, after the world's imports and before any
+  // worker runs. Bindings are pinned to kFail exhaustion (growth would
+  // mutate the region list under concurrent readers). A binding imported
+  // later validates at once but keeps its simulated A-stack queue, so one
+  // worker at a time may call through it.
   void AdoptWorld();
 
   // Parks `cpu_index` idling in `domain`'s context and publishes it to the
@@ -94,7 +91,6 @@ class ParallelMachine {
 
   const ParallelOptions& options() const { return options_; }
   LrpcRuntime& runtime() { return runtime_; }
-  ShardedBindingTable& bindings() { return bindings_; }
   const std::vector<std::unique_ptr<ParFreeList>>& free_lists() const {
     return free_lists_;
   }
@@ -104,7 +100,6 @@ class ParallelMachine {
  private:
   LrpcRuntime& runtime_;
   ParallelOptions options_;
-  ShardedBindingTable bindings_;
   std::vector<std::unique_ptr<ParFreeList>> free_lists_;
   bool adopted_ = false;
 };

@@ -189,8 +189,6 @@ FleetWorld::FleetWorld(FleetOptions options) : options_(options) {
     ParallelOptions par_options;
     par_options.workers = options_.workers;
     par_options.lock_free = options_.lock_free;
-    par_options.binding_shards = options_.binding_shards;
-    par_options.max_bindings = static_cast<int>(bindings_.size()) + 8;
     par_ = std::make_unique<ParallelMachine>(*runtime_, par_options);
     par_->AdoptWorld();
   }

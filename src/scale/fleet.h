@@ -59,7 +59,6 @@ struct FleetOptions {
   // large group gets half (its A-stacks are ~1.4KB each).
   int astacks_per_group = 4;
   bool lock_free = true;
-  int binding_shards = 16;  // Sharded mirror shards (parallel backend).
   std::uint64_t seed = 0x5ca1e;
   TrafficOptions traffic;
   // Modeled cost multiplier of the message-RPC fallback channel.

@@ -1,6 +1,6 @@
 // Property tests for the per-thread binding validation cache
-// (ShardedBindingTable::ValidateCached, docs/fast_path.md): a revoked or
-// rebound binding must never be served from a stale cache entry — under
+// (BindingTable::ValidateCached, docs/fast_path.md): a revoked or rebound
+// binding must never be served from a stale cache entry — under
 // single-thread protocols, under the cross-thread flag protocol the
 // generation acquire/release pairing guarantees, and under seeded chaos
 // schedules with real threads (the test suite's TSan configuration runs
@@ -17,11 +17,14 @@
 #include <thread>
 #include <vector>
 
-#include "src/kern/sharded_binding_table.h"
+#include "src/kern/binding_table.h"
 #include "src/par/par_world.h"
 
 namespace lrpc {
 namespace {
+
+constexpr DomainId kClient = 3;
+constexpr DomainId kServer = 4;
 
 BindingObject ObjectFor(BindingId id, std::uint64_t nonce) {
   BindingObject object;
@@ -30,113 +33,113 @@ BindingObject ObjectFor(BindingId id, std::uint64_t nonce) {
   return object;
 }
 
+BindingObject ObjectFor(const BindingRecord& record) {
+  return ObjectFor(record.id, record.nonce);
+}
+
 class BindingCacheTest : public ::testing::TestWithParam<bool> {
  protected:
-  ShardedBindingTable::Options OptionsForMode() {
-    ShardedBindingTable::Options options;
-    options.lock_free = GetParam();
-    options.shards = 4;
-    options.max_bindings = 64;
-    return options;
+  std::unique_ptr<BindingTable> MakeTable(std::uint64_t seed = 1) {
+    auto table = std::make_unique<BindingTable>(seed);
+    table->set_lock_free(GetParam());
+    return table;
   }
 };
 
 TEST_P(BindingCacheTest, CachedValidationMatchesFullValidation) {
-  ShardedBindingTable table(OptionsForMode());
-  BindingRecord record;
-  const DomainId client = 3;
-  ASSERT_TRUE(table.AddEntry(7, 0xabcd, client, false, &record).ok());
+  auto table = MakeTable();
+  BindingRecord& record =
+      table->Create(kClient, kServer, InterfaceId{0}, nullptr, false);
 
-  const BindingObject object = ObjectFor(7, 0xabcd);
-  Result<BindingRecord*> full = table.Validate(object, client);
-  Result<BindingRecord*> cached = table.ValidateCached(object, client);
+  const BindingObject object = ObjectFor(record);
+  Result<BindingRecord*> full = table->Validate(object, kClient);
+  Result<BindingRecord*> cached = table->ValidateCached(object, kClient);
   ASSERT_TRUE(full.ok());
   ASSERT_TRUE(cached.ok());
   EXPECT_EQ(*full, *cached);
 
   // The second cached probe skips the seqlock entirely.
-  const std::uint64_t hits_before = table.cache_hits();
-  Result<BindingRecord*> again = table.ValidateCached(object, client);
+  const std::uint64_t hits_before = table->cache_hits();
+  Result<BindingRecord*> again = table->ValidateCached(object, kClient);
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(*again, &record);
-  EXPECT_EQ(table.cache_hits(), hits_before + 1);
+  EXPECT_EQ(table->cache_hits(), hits_before + 1);
 
   // The failure taxonomy is identical through the cached entry point.
-  EXPECT_EQ(table.ValidateCached(ObjectFor(7, 0xabce), client).code(),
+  EXPECT_EQ(table->ValidateCached(ObjectFor(record.id, record.nonce ^ 1),
+                                  kClient)
+                .code(),
             ErrorCode::kForgedBinding);
-  EXPECT_EQ(table.ValidateCached(object, client + 1).code(),
+  EXPECT_EQ(table->ValidateCached(object, kClient + 1).code(),
             ErrorCode::kForgedBinding);
-  EXPECT_EQ(table.ValidateCached(ObjectFor(63, 0xabcd), client).code(),
+  EXPECT_EQ(table->ValidateCached(ObjectFor(63, record.nonce), kClient).code(),
             ErrorCode::kForgedBinding);
 }
 
 TEST_P(BindingCacheTest, RevocationIsNeverServedFromTheCache) {
-  ShardedBindingTable table(OptionsForMode());
-  BindingRecord record;
-  const DomainId client = 3;
-  ASSERT_TRUE(table.AddEntry(7, 0xabcd, client, false, &record).ok());
+  auto table = MakeTable();
+  const BindingObject object = ObjectFor(
+      table->Create(kClient, kServer, InterfaceId{0}, nullptr, false));
+  ASSERT_TRUE(table->ValidateCached(object, kClient).ok());
+  ASSERT_TRUE(table->ValidateCached(object, kClient).ok());  // Cache is hot.
 
-  const BindingObject object = ObjectFor(7, 0xabcd);
-  ASSERT_TRUE(table.ValidateCached(object, client).ok());
-  ASSERT_TRUE(table.ValidateCached(object, client).ok());  // Cache is hot.
-
-  table.Revoke(7);
+  table->RevokeForDomain(kServer);
   // The very next cached validation must see the revocation: the generation
   // bump invalidates the hot entry.
-  EXPECT_EQ(table.ValidateCached(object, client).code(),
+  EXPECT_EQ(table->ValidateCached(object, kClient).code(),
             ErrorCode::kRevokedBinding);
   // And the refuted entry cannot revive at the same generation.
-  EXPECT_EQ(table.ValidateCached(object, client).code(),
+  EXPECT_EQ(table->ValidateCached(object, kClient).code(),
             ErrorCode::kRevokedBinding);
 }
 
 TEST_P(BindingCacheTest, RebindUnderANewNonceRefusesTheOldObject) {
-  // A rebind surfaces as a fresh mirror whose entry carries a new nonce
-  // (imports create new bindings; the table itself refuses id reuse). The
-  // cache keys on the nonce, so the old capability must miss and fail.
-  auto table = std::make_unique<ShardedBindingTable>(OptionsForMode());
-  BindingRecord old_record;
-  const DomainId client = 3;
-  ASSERT_TRUE(table->AddEntry(7, 0x1111, client, false, &old_record).ok());
-  ASSERT_TRUE(table->ValidateCached(ObjectFor(7, 0x1111), client).ok());
+  // A rebind after the server died is a fresh binding with its own id and
+  // nonce. The cache keys on the nonce as well as the id, so the old nonce
+  // must fail at either id while the new binding is hot.
+  auto table = MakeTable();
+  const BindingObject old_object = ObjectFor(
+      table->Create(kClient, kServer, InterfaceId{0}, nullptr, false));
+  ASSERT_TRUE(table->ValidateCached(old_object, kClient).ok());
 
-  auto rebound = std::make_unique<ShardedBindingTable>(OptionsForMode());
-  BindingRecord new_record;
-  ASSERT_TRUE(rebound->AddEntry(7, 0x2222, client, false, &new_record).ok());
+  table->RevokeForDomain(kServer);
+  BindingRecord& new_record =
+      table->Create(kClient, kServer + 1, InterfaceId{0}, nullptr, false);
+  ASSERT_NE(new_record.nonce, old_object.nonce);
 
   Result<BindingRecord*> fresh =
-      rebound->ValidateCached(ObjectFor(7, 0x2222), client);
+      table->ValidateCached(ObjectFor(new_record), kClient);
   ASSERT_TRUE(fresh.ok());
   EXPECT_EQ(*fresh, &new_record);
-  EXPECT_EQ(rebound->ValidateCached(ObjectFor(7, 0x1111), client).code(),
+  EXPECT_EQ(table->ValidateCached(old_object, kClient).code(),
+            ErrorCode::kRevokedBinding);
+  EXPECT_EQ(table->ValidateCached(ObjectFor(new_record.id, old_object.nonce),
+                                  kClient)
+                .code(),
             ErrorCode::kForgedBinding);
 }
 
 TEST_P(BindingCacheTest, RecreatedTableCannotAliasAnotherTablesCache) {
   // Adversarial allocator reuse: destroy a table whose entry is hot in this
-  // thread's cache, then build a new table that may land at the same
-  // address with the same (id, nonce, client) triple but a different
-  // record. The epoch-seeded generation keeps the old cache entry from
-  // matching; the new table must return its own record.
-  const DomainId client = 3;
-  BindingRecord first_record;
+  // thread's cache, then build a new table from the same seed — it may land
+  // at the same address and draws the same (id, nonce) for the same client,
+  // but owns a different record. The epoch-seeded generation keeps the old
+  // cache entry from matching; the new table must return its own record.
   std::uint64_t first_generation = 0;
   {
-    auto first = std::make_unique<ShardedBindingTable>(OptionsForMode());
-    ASSERT_TRUE(first->AddEntry(7, 0xabcd, client, false, &first_record).ok());
-    Result<BindingRecord*> warm =
-        first->ValidateCached(ObjectFor(7, 0xabcd), client);
-    ASSERT_TRUE(warm.ok());
+    auto first = MakeTable();
+    const BindingObject object = ObjectFor(
+        first->Create(kClient, kServer, InterfaceId{0}, nullptr, false));
+    ASSERT_TRUE(first->ValidateCached(object, kClient).ok());
     first_generation = first->generation();
   }
   for (int i = 0; i < 8; ++i) {
-    auto reborn = std::make_unique<ShardedBindingTable>(OptionsForMode());
-    BindingRecord reborn_record;
-    ASSERT_TRUE(
-        reborn->AddEntry(7, 0xabcd, client, false, &reborn_record).ok());
+    auto reborn = MakeTable();
+    BindingRecord& reborn_record =
+        reborn->Create(kClient, kServer, InterfaceId{0}, nullptr, false);
     EXPECT_NE(reborn->generation(), first_generation);
     Result<BindingRecord*> hit =
-        reborn->ValidateCached(ObjectFor(7, 0xabcd), client);
+        reborn->ValidateCached(ObjectFor(reborn_record), kClient);
     ASSERT_TRUE(hit.ok());
     EXPECT_EQ(*hit, &reborn_record);
   }
@@ -147,20 +150,18 @@ TEST_P(BindingCacheTest, ObservedRevocationIsNeverStaleAcrossThreads) {
   // observed a revocation by ANY means (here an acquire-loaded flag the
   // revoker set after revoking), its cached validations must fail. A stale
   // success after the flag is a memory-ordering bug, not bad luck.
-  ShardedBindingTable table(OptionsForMode());
-  BindingRecord record;
-  const DomainId client = 3;
-  ASSERT_TRUE(table.AddEntry(7, 0xabcd, client, false, &record).ok());
+  auto table = MakeTable();
+  const BindingObject object = ObjectFor(
+      table->Create(kClient, kServer, InterfaceId{0}, nullptr, false));
 
   std::atomic<bool> revoked_flag{false};
   std::atomic<std::uint64_t> violations{0};
   std::atomic<std::uint64_t> pre_flag_successes{0};
 
   std::thread observer([&] {
-    const BindingObject object = ObjectFor(7, 0xabcd);
     for (int i = 0; i < 200000; ++i) {
       const bool observed = revoked_flag.load(std::memory_order_acquire);
-      Result<BindingRecord*> result = table.ValidateCached(object, client);
+      Result<BindingRecord*> result = table->ValidateCached(object, kClient);
       if (observed) {
         if (result.ok()) {
           violations.fetch_add(1, std::memory_order_relaxed);
@@ -174,7 +175,7 @@ TEST_P(BindingCacheTest, ObservedRevocationIsNeverStaleAcrossThreads) {
   });
   std::thread revoker([&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    table.Revoke(7);
+    table->RevokeForDomain(kServer);
     revoked_flag.store(true, std::memory_order_release);
   });
   observer.join();
@@ -186,19 +187,21 @@ TEST_P(BindingCacheTest, ObservedRevocationIsNeverStaleAcrossThreads) {
 
 TEST_P(BindingCacheTest, SeededChaosRevocationScheduleNeverServesStale) {
   // Seeded chaos: worker threads hammer cached validations over a set of
-  // bindings while a mutator revokes them one by one on a seeded schedule,
-  // publishing each revocation to a per-id flag after the fact. Workers
-  // check the flag BEFORE validating; flagged ids must never validate ok.
+  // bindings while the collector's path revokes them one by one on a seeded
+  // schedule, publishing each revocation to a per-id flag after the fact.
+  // Workers check the flag BEFORE validating; flagged ids must never
+  // validate ok. Each binding has its own server, so revoking that server's
+  // bindings revokes exactly one.
   constexpr int kBindings = 16;
   constexpr int kWorkers = 3;
-  ShardedBindingTable table(OptionsForMode());
-  std::vector<BindingRecord> records(kBindings);
-  const DomainId client = 3;
+  auto table = MakeTable();
+  std::vector<const BindingRecord*> records;
+  std::vector<BindingObject> objects;
   for (int id = 0; id < kBindings; ++id) {
-    ASSERT_TRUE(table
-                    .AddEntry(id, 0x1000u + static_cast<std::uint64_t>(id),
-                              client, false, &records[static_cast<std::size_t>(id)])
-                    .ok());
+    const BindingRecord& record =
+        table->Create(kClient, kServer + id, InterfaceId{0}, nullptr, false);
+    records.push_back(&record);
+    objects.push_back(ObjectFor(record));
   }
 
   std::vector<std::atomic<bool>> revoked(kBindings);
@@ -215,11 +218,10 @@ TEST_P(BindingCacheTest, SeededChaosRevocationScheduleNeverServesStale) {
       std::mt19937 rng(static_cast<unsigned>(1989 + w));
       std::uniform_int_distribution<int> pick(0, kBindings - 1);
       while (!done.load(std::memory_order_relaxed)) {
-        const int id = pick(rng);
-        const bool observed =
-            revoked[static_cast<std::size_t>(id)].load(std::memory_order_acquire);
-        Result<BindingRecord*> result = table.ValidateCached(
-            ObjectFor(id, 0x1000u + static_cast<std::uint64_t>(id)), client);
+        const auto id = static_cast<std::size_t>(pick(rng));
+        const bool observed = revoked[id].load(std::memory_order_acquire);
+        Result<BindingRecord*> result =
+            table->ValidateCached(objects[id], kClient);
         if (observed) {
           checked.fetch_add(1, std::memory_order_relaxed);
           if (result.ok()) {
@@ -227,8 +229,7 @@ TEST_P(BindingCacheTest, SeededChaosRevocationScheduleNeverServesStale) {
           } else if (result.code() != ErrorCode::kRevokedBinding) {
             violations.fetch_add(1, std::memory_order_relaxed);
           }
-        } else if (result.ok() &&
-                   *result != &records[static_cast<std::size_t>(id)]) {
+        } else if (result.ok() && *result != records[id]) {
           // A success must return exactly the record registered for the id.
           violations.fetch_add(1, std::memory_order_relaxed);
         }
@@ -244,7 +245,7 @@ TEST_P(BindingCacheTest, SeededChaosRevocationScheduleNeverServesStale) {
   std::shuffle(order.begin(), order.end(), schedule);
   for (int id : order) {
     std::this_thread::sleep_for(std::chrono::microseconds(200));
-    table.Revoke(id);
+    table->RevokeForDomain(kServer + id);
     revoked[static_cast<std::size_t>(id)].store(true,
                                                 std::memory_order_release);
   }
@@ -265,25 +266,24 @@ INSTANTIATE_TEST_SUITE_P(BothModes, BindingCacheTest, ::testing::Bool(),
                          });
 
 TEST(BindingCacheEndToEnd, RevokedBindingStopsParallelCallsImmediately) {
-  // End-to-end through the runtime: workers make calls through the sharded
-  // mirror's cached validation; the main thread revokes the binding
-  // mid-run and raises a flag. Any call that STARTED after the flag was
-  // observed must fail with kRevokedBinding — the per-thread cache cannot
-  // keep a revoked binding callable.
+  // End-to-end through the runtime: workers make calls through the kernel
+  // table's cached validation; the main thread revokes the binding through
+  // the collector's path mid-run and raises a flag. Any call that STARTED
+  // after the flag was observed must fail with kRevokedBinding — the
+  // per-thread cache cannot keep a revoked binding callable.
   ParWorldOptions options;
   options.workers = 2;
   options.domains = 1;
   ParWorld world(options);
   ASSERT_NE(world.par(), nullptr);
 
-  const BindingId id = world.worker_binding(0).object().id;
   std::atomic<bool> revoked_flag{false};
   std::atomic<std::uint64_t> violations{0};
   std::atomic<std::uint64_t> post_flag_calls{0};
 
   std::thread revoker([&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(40));
-    world.par()->bindings().Revoke(id);
+    world.kernel().bindings().RevokeForDomain(world.server_domain());
     revoked_flag.store(true, std::memory_order_release);
   });
 

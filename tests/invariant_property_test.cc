@@ -59,9 +59,9 @@ TEST(InvariantProperty, NestedCallsKeepLinkageStacksLifo) {
 
   Interface* inner = runtime.CreateInterface(b, "nested.inner");
   int null_proc, add_proc, bigin_proc, biginout_proc;
-  std::uint64_t bytes_seen = 0;
+  PaperCounters counters;
   AddPaperProcedures(inner, &null_proc, &add_proc, &bigin_proc,
-                     &biginout_proc, &bytes_seen);
+                     &biginout_proc, counters);
   ASSERT_TRUE(runtime.Export(inner).ok());
   Result<ClientBinding*> ab = runtime.Import(cpu, a, "nested.inner");
   ASSERT_TRUE(ab.ok());

@@ -2,7 +2,7 @@
 // arguments live in comments: the CircuitBreaker half-open epoch
 // (src/lrpc/circuit_breaker.h — "only the CAS winner publishes the
 // epoch's probe budget") and the ValidateCached seqlock + generation
-// protocol (src/kern/sharded_binding_table.cc — "a stale success can
+// protocol (src/kern/binding_table.cc — "a stale success can
 // never be cached under a newer generation than the validation actually
 // observed"). Each protocol is modeled step-for-step against the real
 // code, every 2- and 3-thread interleaving is enumerated, and — because a
@@ -251,13 +251,13 @@ TEST(BreakerEpochModel, PublishingBudgetBeforeTheCasIsCaught) {
 
 // --- ValidateCached: the seqlock + generation cache protocol ---
 //
-// Mirrors ShardedBindingTable: a reader runs ValidateCached twice (the
-// first call seeds its thread-local cache, the second is the probe under
-// attack) while a revoker runs Revoke (seq odd, revoked store, seq even,
-// then the generation bump). The property: once the revoke has completed,
+// Mirrors BindingTable: a reader runs ValidateCached twice (the first call
+// seeds its thread-local cache, the second is the probe under attack)
+// while a revoker runs the writer's Publish (seq odd, revoked store, seq
+// even, then the generation bump). The property: once the revoke has completed,
 // no later call may return "valid" — neither from a cache hit nor from a
 // fresh seqlock read. Two broken variants must be caught: bumping the
-// generation before the entry update (the ordering Revoke's comment
+// generation before the entry update (the ordering Publish's comment
 // defends), and tagging the cache with a generation re-loaded AFTER the
 // validation instead of the probe value (the ordering ValidateCached's
 // comment defends).

@@ -22,7 +22,7 @@ struct MsgWorld {
     thread = kernel.CreateThread(client);
     iface = std::make_unique<Interface>(0, "paper.Measures", server_domain);
     AddPaperProcedures(iface.get(), &null_proc, &add_proc, &bigin_proc,
-                       &biginout_proc, &bytes_seen);
+                       &biginout_proc, counters);
     iface->Seal();
     server = system.RegisterServer(server_domain, iface.get());
     binding = system.Bind(client, server);
@@ -40,7 +40,7 @@ struct MsgWorld {
   MsgServer* server;
   MsgBinding binding;
   int null_proc, add_proc, bigin_proc, biginout_proc;
-  std::uint64_t bytes_seen = 0;
+  PaperCounters counters;
 };
 
 class MsgRpcModesTest : public ::testing::TestWithParam<MsgRpcMode> {};

@@ -3,8 +3,9 @@
 //   - the Treiber free list and the single-lock baseline are linearizable
 //     against a reference LIFO over seeded operation sequences, and
 //     concurrent pops never hand the same A-stack to two claimants
-//   - the sharded binding validator agrees with the kernel table's
-//     side-effect-free CheckValidate over seeded table populations
+//   - the kernel's binding table, in both lock modes, agrees with a plain
+//     reference model over seeded populations and revocations, and a
+//     racing revocation never lets a validation read a torn entry
 //   - a single-worker ParallelMachine is call-for-call identical to the
 //     deterministic simulator: same statuses, same results, same clock
 
@@ -17,9 +18,10 @@
 #include <thread>
 #include <vector>
 
-#include "src/kern/sharded_binding_table.h"
+#include "src/kern/binding_table.h"
 #include "src/par/par_world.h"
 #include "src/shm/par_free_list.h"
+#include "src/sim/fault_injector.h"
 
 namespace lrpc {
 namespace {
@@ -135,34 +137,64 @@ TEST(ParFreeListProperty, ConcurrentPopsNeverDoubleClaim) {
   EXPECT_EQ(list.Snapshot().size(), 0u);
 }
 
-TEST(ShardedTableProperty, SeededPopulationsAgreeWithCheckValidate) {
-  for (int seed = 0; seed < kSeeds; ++seed) {
-    std::mt19937 rng(static_cast<std::mt19937::result_type>(seed) + 1000);
-    BindingTable table(static_cast<std::uint64_t>(seed) * 977 + 13);
-    const int records = 1 + static_cast<int>(rng() % 12);
-    std::vector<BindingObject> objects;
-    for (int i = 0; i < records; ++i) {
-      const auto client = static_cast<DomainId>(rng() % 8);
-      const auto server = static_cast<DomainId>(rng() % 8);
-      BindingRecord& rec = table.Create(client, server, InterfaceId{0},
-                                        /*pdl=*/nullptr, /*remote=*/false);
-      if (rng() % 5 == 0) {
-        rec.revoked = true;
-      }
-      objects.push_back(
-          BindingObject{.id = rec.id, .nonce = rec.nonce, .remote = false});
-    }
+// What a binding is, with none of the table's machinery.
+struct ModelBinding {
+  std::uint64_t nonce = 0;
+  DomainId client = kNoDomain;
+  DomainId server = kNoDomain;
+  bool revoked = false;
+};
 
+ErrorCode ModelVerdict(const std::vector<ModelBinding>& model,
+                       const BindingObject& object, DomainId caller) {
+  if (object.id < 0 || static_cast<std::size_t>(object.id) >= model.size()) {
+    return ErrorCode::kForgedBinding;
+  }
+  const ModelBinding& m = model[static_cast<std::size_t>(object.id)];
+  if (m.nonce != object.nonce || m.client != caller) {
+    return ErrorCode::kForgedBinding;
+  }
+  return m.revoked ? ErrorCode::kRevokedBinding : ErrorCode::kOk;
+}
+
+TEST(ShardedTableProperty, SeededPopulationsAgreeWithCheckValidate) {
+  // Seeded populations revoke through the collector's RevokeForDomain and
+  // through injected kBindingRevocation faults. On every probe CheckValidate,
+  // Validate and ValidateCached give the model's verdict, and the injection
+  // point is consulted exactly once per successful validation.
+  constexpr FaultKind kRevoke = FaultKind::kBindingRevocation;
+  for (int seed = 0; seed < kSeeds; ++seed) {
     for (const bool lock_free : {true, false}) {
-      ShardedBindingTable::Options options;
-      options.lock_free = lock_free;
-      options.shards = 1 + static_cast<int>(rng() % 7);
-      ShardedBindingTable sharded(options);
-      sharded.MirrorFrom(table);
+      std::mt19937 rng(static_cast<std::mt19937::result_type>(seed) + 1000);
+      BindingTable table(static_cast<std::uint64_t>(seed) * 977 + 13);
+      table.set_lock_free(lock_free);
+      std::vector<ModelBinding> model;
+      const int records = 1 + static_cast<int>(rng() % 12);
+      for (int i = 0; i < records; ++i) {
+        const auto client = static_cast<DomainId>(rng() % 8);
+        const auto server = static_cast<DomainId>(rng() % 8);
+        const BindingRecord& rec = table.Create(
+            client, server, InterfaceId{0}, /*pdl=*/nullptr, /*remote=*/false);
+        ASSERT_EQ(rec.id, static_cast<BindingId>(i));
+        model.push_back({rec.nonce, client, server, false});
+      }
+      FaultInjector injector(FaultPlan::SeededRandom(0.1, {kRevoke}),
+                             static_cast<std::uint64_t>(seed));
+      table.set_fault_injector(&injector);
 
       for (int probe = 0; probe < 64; ++probe) {
-        BindingObject object = objects[rng() % objects.size()];
-        auto caller = table.Find(object.id)->client;
+        if (rng() % 16 == 0) {
+          const auto victim = static_cast<DomainId>(rng() % 8);
+          table.RevokeForDomain(victim);
+          for (ModelBinding& m : model) {
+            m.revoked |= m.client == victim || m.server == victim;
+          }
+        }
+        const auto pick = static_cast<BindingId>(rng() % model.size());
+        BindingObject object{.id = pick,
+                             .nonce = model[static_cast<std::size_t>(pick)].nonce,
+                             .remote = false};
+        DomainId caller = model[static_cast<std::size_t>(pick)].client;
         switch (rng() % 5) {
           case 0:
             object.nonce ^= 1 + rng() % 7;  // Forged nonce.
@@ -176,43 +208,66 @@ TEST(ShardedTableProperty, SeededPopulationsAgreeWithCheckValidate) {
           default:
             break;  // Honest probe.
         }
-        const Status expected = table.CheckValidate(object, caller);
-        Result<BindingRecord*> got = sharded.Validate(object, caller);
-        ASSERT_EQ(got.code(), expected.code())
+        const ErrorCode expected = ModelVerdict(model, object, caller);
+        ASSERT_EQ(table.CheckValidate(object, caller).code(), expected)
+            << "seed " << seed << " probe " << probe
+            << " lock_free=" << lock_free;
+
+        const std::uint64_t hits = injector.hits(kRevoke);
+        const std::uint64_t fired = injector.fired(kRevoke);
+        Result<BindingRecord*> got = rng() % 2 == 0
+                                         ? table.ValidateCached(object, caller)
+                                         : table.Validate(object, caller);
+        ASSERT_EQ(injector.hits(kRevoke),
+                  hits + (expected == ErrorCode::kOk ? 1 : 0))
+            << "seed " << seed << " probe " << probe;
+        if (injector.fired(kRevoke) != fired) {
+          // The fault revoked the binding at the instant it validated.
+          ASSERT_EQ(got.code(), ErrorCode::kRevokedBinding);
+          model[static_cast<std::size_t>(object.id)].revoked = true;
+          continue;
+        }
+        ASSERT_EQ(got.code(), expected)
             << "seed " << seed << " probe " << probe
             << " lock_free=" << lock_free;
         if (got.ok()) {
           ASSERT_EQ(*got, table.Find(object.id));
         }
       }
+      table.set_fault_injector(nullptr);
     }
   }
 }
 
 TEST(ShardedTableProperty, ConcurrentRevocationNeverReadsTorn) {
-  // Readers race a revoker. The seqlock must never let a validation observe
-  // a half-written entry: every verdict is ok or revoked, never forged.
+  // Readers race the collector's revocation path. The seqlock must never
+  // let a validation observe a half-written entry: every verdict is ok or
+  // revoked, never forged. Each binding has its own server, so revoking
+  // one server's bindings revokes exactly one entry.
   BindingTable table(42);
   constexpr int kRecords = 32;
+  constexpr DomainId kClient = 1;
+  constexpr DomainId kFirstServer = 100;
   std::vector<BindingObject> objects;
   for (int i = 0; i < kRecords; ++i) {
-    BindingRecord& rec = table.Create(DomainId{1}, DomainId{2}, InterfaceId{0},
-                                      nullptr, false);
+    const BindingRecord& rec = table.Create(kClient, kFirstServer + i,
+                                            InterfaceId{0}, nullptr, false);
     objects.push_back(
         BindingObject{.id = rec.id, .nonce = rec.nonce, .remote = false});
   }
-  ShardedBindingTable sharded;
-  sharded.MirrorFrom(table);
 
   std::vector<std::thread> readers;
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> forged{0};
   for (int t = 0; t < 3; ++t) {
-    readers.emplace_back([&] {
+    readers.emplace_back([&, t] {
       std::mt19937 rng(7);
       while (!stop.load(std::memory_order_relaxed)) {
         const BindingObject& object = objects[rng() % objects.size()];
-        Result<BindingRecord*> got = sharded.Validate(object, DomainId{1});
+        // One reader goes through the per-thread cache.
+        Result<BindingRecord*> got = t == 0
+                                         ? table.ValidateCached(object, kClient)
+                                         : table.Validate(object, kClient);
         if (!got.ok() && got.code() != ErrorCode::kRevokedBinding) {
           forged.fetch_add(1, std::memory_order_relaxed);
         }
@@ -220,7 +275,7 @@ TEST(ShardedTableProperty, ConcurrentRevocationNeverReadsTorn) {
     });
   }
   for (int i = 0; i < kRecords; ++i) {
-    sharded.Revoke(objects[static_cast<std::size_t>(i)].id);
+    EXPECT_EQ(table.RevokeForDomain(kFirstServer + i).size(), 1u);
   }
   stop.store(true, std::memory_order_relaxed);
   for (std::thread& t : readers) {
@@ -228,7 +283,7 @@ TEST(ShardedTableProperty, ConcurrentRevocationNeverReadsTorn) {
   }
   EXPECT_EQ(forged.load(), 0u);
   for (const BindingObject& object : objects) {
-    EXPECT_EQ(sharded.Validate(object, DomainId{1}).code(),
+    EXPECT_EQ(table.Validate(object, kClient).code(),
               ErrorCode::kRevokedBinding);
   }
 }

@@ -1,13 +1,13 @@
 // Unit tests for the real-thread engine's building blocks: the lock-free
 // (and locked-baseline) A-stack free lists, the idle-processor claim
-// registry, the sharded binding validator, and the ParallelMachine facade
-// over an adopted world (docs/concurrency.md).
+// registry, the kernel binding table's two lock modes, and the
+// ParallelMachine facade over an adopted world (docs/concurrency.md).
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 
-#include "src/kern/sharded_binding_table.h"
+#include "src/kern/binding_table.h"
 #include "src/lrpc/testbed.h"
 #include "src/par/par_world.h"
 #include "src/par/parallel_machine.h"
@@ -130,15 +130,12 @@ TEST(IdleRegistry, MissCountersSteerProdding) {
   EXPECT_EQ(registry.BusiestMissedContext(), VmContextId{3});
 }
 
-class ShardedTableTest : public ::testing::TestWithParam<bool> {};
+class BindingTableModeTest : public ::testing::TestWithParam<bool> {};
 
-TEST_P(ShardedTableTest, MirrorValidatesLikeTheKernelTable) {
+TEST_P(BindingTableModeTest, KernelTableValidatesInEitherLockMode) {
   Testbed bed;
-  ShardedBindingTable::Options options;
-  options.lock_free = GetParam();
-  options.shards = 4;
-  ShardedBindingTable table(options);
-  table.MirrorFrom(bed.kernel().bindings());
+  BindingTable& table = bed.kernel().bindings();
+  table.set_lock_free(GetParam());
 
   const BindingObject& object = bed.binding().object();
   Result<BindingRecord*> hit = table.Validate(object, bed.client_domain());
@@ -158,14 +155,16 @@ TEST_P(ShardedTableTest, MirrorValidatesLikeTheKernelTable) {
   unknown.id = 9999;
   EXPECT_EQ(table.Validate(unknown, bed.client_domain()).code(),
             ErrorCode::kForgedBinding);
-  // Revocation is visible to later validations.
-  table.Revoke(object.id);
+  // Revocation is visible to later validations, cached or not.
+  ASSERT_TRUE(table.ValidateCached(object, bed.client_domain()).ok());
+  EXPECT_EQ(table.RevokeForDomain(bed.server_domain()).size(), 1u);
   EXPECT_EQ(table.Validate(object, bed.client_domain()).code(),
             ErrorCode::kRevokedBinding);
-  EXPECT_GE(table.validations(), 5u);
+  EXPECT_EQ(table.ValidateCached(object, bed.client_domain()).code(),
+            ErrorCode::kRevokedBinding);
 }
 
-INSTANTIATE_TEST_SUITE_P(BothModes, ShardedTableTest, ::testing::Bool(),
+INSTANTIATE_TEST_SUITE_P(BothModes, BindingTableModeTest, ::testing::Bool(),
                          [](const ::testing::TestParamInfo<bool>& mode) {
                            return mode.param ? "LockFree" : "Locked";
                          });
@@ -192,6 +191,48 @@ TEST(ParWorldTest, SingleWorkerCallsComputeCorrectResults) {
   }
   EXPECT_EQ(world.server_calls_seen(), 3u);
   EXPECT_TRUE(world.par()->AuditConservation().ok());
+}
+
+// Terminating a domain revokes its bindings in the kernel's table (Section
+// 5.3), and every backend validates calls against that table: no later call
+// may enter the dead server.
+TEST(ParWorldTest, TerminatedServerRejectsCallsOnEveryBackend) {
+  for (const RuntimeBackend backend :
+       {RuntimeBackend::kDeterministicSim, RuntimeBackend::kParallelHost}) {
+    SCOPED_TRACE(backend == RuntimeBackend::kParallelHost ? "par" : "sim");
+    ParWorldOptions options;
+    options.workers = 1;
+    options.backend = backend;
+    ParWorld world(options);
+    ASSERT_TRUE(world.CallNull(0).ok());  // Warms the binding cache.
+    const std::uint64_t seen = world.server_calls_seen();
+
+    ASSERT_TRUE(world.runtime().TerminateDomain(world.server_domain()).ok());
+    EXPECT_EQ(world.CallNull(0).code(), ErrorCode::kRevokedBinding);
+    std::int32_t sum = 0;
+    EXPECT_EQ(world.CallAdd(0, 1, 2, &sum).code(), ErrorCode::kRevokedBinding);
+    EXPECT_EQ(world.server_calls_seen(), seen);
+  }
+}
+
+// A binding created after AdoptWorld (a supervised rebind, say) lands in
+// the same table the call leg validates against.
+TEST(ParWorldTest, BindingImportedAfterAdoptWorldIsCallable) {
+  ParWorldOptions options;
+  options.workers = 1;
+  ParWorld world(options);
+  ASSERT_NE(world.par(), nullptr);
+
+  Result<ClientBinding*> late = world.runtime().Import(
+      world.machine().processor(0), world.client_domain(0), "par.Measures");
+  ASSERT_TRUE(late.ok());
+  CallStats stats;
+  EXPECT_EQ(world.par()
+                ->Call(0, world.worker_thread(0), **late, world.null_proc(),
+                       {}, {}, stats)
+                .code(),
+            ErrorCode::kOk);
+  EXPECT_EQ(world.server_calls_seen(), 1u);
 }
 
 TEST(ParWorldTest, ParkedProcessorMakesCallsExchange) {

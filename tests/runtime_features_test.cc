@@ -357,9 +357,9 @@ TEST(FaultInjection, SchedulerDelaySlowsOnlyTheMessagePath) {
   const ThreadId thread = kernel.CreateThread(client);
   Interface iface(0, "paper.Measures", server_domain);
   int null_proc, add_proc, bigin_proc, biginout_proc;
-  std::uint64_t bytes_seen = 0;
+  PaperCounters counters;
   AddPaperProcedures(&iface, &null_proc, &add_proc, &bigin_proc,
-                     &biginout_proc, &bytes_seen);
+                     &biginout_proc, counters);
   iface.Seal();
   MsgServer* server = system.RegisterServer(server_domain, &iface);
   MsgBinding binding = system.Bind(client, server);

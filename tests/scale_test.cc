@@ -22,7 +22,7 @@
 
 #include "src/kern/invariant_checker.h"
 #include "src/kern/kernel.h"
-#include "src/kern/sharded_binding_table.h"
+#include "src/kern/binding_table.h"
 #include "src/scale/admission.h"
 #include "src/scale/arrival.h"
 #include "src/scale/fleet.h"
@@ -225,8 +225,8 @@ TEST(ScaleInvariants, SimOverloadRunKeepsKernelInvariants) {
 }
 
 // A 1000-domain-pair fleet (10k bindings) stands up and meets the same
-// gates; bindings spread across the sharded mirror without pathological
-// skew, and the occupancy accessor agrees with the fleet's own count.
+// gates; the kernel's one binding table holds every binding, and each one
+// validates.
 TEST(ScaleFleet, TenThousandBindingsOnParallelBackend) {
   FleetOptions options;
   options.backend = RuntimeBackend::kParallelHost;
@@ -237,15 +237,13 @@ TEST(ScaleFleet, TenThousandBindingsOnParallelBackend) {
   FleetWorld world(options);
   ASSERT_EQ(world.binding_count(), 10000);
 
-  const ShardedBindingTable::Occupancy occupancy =
-      world.par()->bindings().MeasureOccupancy();
-  EXPECT_EQ(occupancy.total, 10000u);
-  EXPECT_EQ(occupancy.per_shard.size(),
-            static_cast<std::size_t>(world.options().binding_shards));
-  EXPECT_GT(occupancy.min_shard, 0u);
-  EXPECT_GE(occupancy.max_shard, occupancy.min_shard);
-  // No shard holds more than half the fleet: entries really are sharded.
-  EXPECT_LT(occupancy.max_shard, occupancy.total / 2);
+  const BindingTable& table = world.kernel().bindings();
+  EXPECT_EQ(table.size(), 10000u);
+  for (int i = 0; i < world.binding_count(); ++i) {
+    const ClientBinding& binding = world.binding(i);
+    ASSERT_TRUE(table.Validate(binding.object(), binding.client()).ok())
+        << "binding " << i;
+  }
 
   ScenarioOptions scenario;
   scenario.load_factor = 2.0;

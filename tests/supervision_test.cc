@@ -44,7 +44,7 @@ struct StallWorld {
     server = kernel.CreateDomain({.name = "sup.server"});
     iface = runtime.CreateInterface(server, "sup.svc");
     AddPaperProcedures(iface, &null_proc, &add_proc, &bigin_proc,
-                       &biginout_proc, nullptr);
+                       &biginout_proc, counters);
     ProcedureDef def;
     def.name = "Stall";
     def.handler = [stall](ServerFrame& frame) {
@@ -74,6 +74,7 @@ struct StallWorld {
   int bigin_proc = -1;
   int biginout_proc = -1;
   int stall_proc = -1;
+  PaperCounters counters;
 };
 
 // --- The circuit breaker's state machine, in isolation. ---
