@@ -138,7 +138,7 @@ Row Measure(const std::string& workload, const std::string& path,
     const std::int32_t sum = a + b;
     std::memcpy(ch->payload + 8, &sum, sizeof(sum));
     handled = seen;
-    ch->return_seq.fetch_add(1, std::memory_order_release);
+    ch->return_seq.fetch_add(1, std::memory_order_seq_cst);
     lrpc::FutexDoorbell::Wake(&ch->return_seq, &ch->return_sleepers);
   }
 }
@@ -169,7 +169,7 @@ struct DoorbellLeg {
     std::memcpy(channel->payload + 4, &b, sizeof(b));
     const std::uint32_t before =
         channel->return_seq.load(std::memory_order_acquire);
-    channel->call_seq.fetch_add(1, std::memory_order_release);
+    channel->call_seq.fetch_add(1, std::memory_order_seq_cst);
     lrpc::FutexDoorbell::Wake(&channel->call_seq,
                               &channel->call_sleepers);
     std::uint32_t now = before;

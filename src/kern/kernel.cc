@@ -131,9 +131,8 @@ Kernel::TransferResult Kernel::EnterDomain(Processor& cpu, Thread& t,
       NotifyEvent(KernelEventKind::kTransfer);
       return result;
     }
-    registry.RecordMiss(target_context);
-    // No auto-prodding here: prodding walks shared processor state, which
-    // only the deterministic driver may do.
+    // No miss counting or prodding here: prodding walks shared processor
+    // state, which only the deterministic driver may do.
   } else if (domain_caching_ && allow_exchange) {
     Processor* idler = machine_.FindIdleInContext(target_context);
     // Injection point: the exchange is unavailable — a forced

@@ -131,9 +131,12 @@ class Kernel {
     cpu.Charge(CostCategory::kKernelTrap, model().kernel_trap);
   }
   // References `count` pages starting at `base_vpn` through the processor's
-  // TLB (informational miss accounting; see src/sim/tlb.h).
+  // TLB (informational miss accounting; see src/sim/tlb.h). Only the
+  // simulator models the TLB; on the host backends this does nothing.
   void TouchPages(Processor& cpu, std::uint64_t base_vpn, int count) {
-    cpu.tlb().TouchRange(base_vpn, count);
+    if (machine_.simulates_costs()) {
+      cpu.tlb().TouchRange(base_vpn, count);
+    }
   }
   // Kernel pages live at a fixed range, mapped in every context.
   std::uint64_t kernel_page_base() const { return 0; }

@@ -102,9 +102,14 @@ enum class RuntimeBackend : std::uint8_t {
 
 class LrpcRuntime {
  public:
+  // Only the simulator keeps the C-VAX cost ledger and TLB model; a host
+  // backend's calls advance the processor clocks alone. Every runtime built
+  // on one Machine must use the same backend.
   explicit LrpcRuntime(Kernel& kernel,
                        RuntimeBackend backend = RuntimeBackend::kDeterministicSim)
-      : kernel_(kernel), backend_(backend) {}
+      : kernel_(kernel), backend_(backend) {
+    kernel.machine().BindBackend(backend == RuntimeBackend::kDeterministicSim);
+  }
 
   Kernel& kernel() { return kernel_; }
   Machine& machine() { return kernel_.machine(); }

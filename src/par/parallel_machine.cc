@@ -20,13 +20,8 @@ void ParallelMachine::AdoptWorld() {
   LRPC_CHECK(!adopted_);
   adopted_ = true;
 
-  Kernel& kernel = runtime_.kernel();
-  // VM contexts are assigned densely from 1 (0 is the kernel's), so the
-  // registry's miss counters need one slot per domain plus the kernel.
-  runtime_.machine().EnableParallelIdle(
-      static_cast<int>(kernel.domain_count()) + 1);
-
-  kernel.bindings().set_lock_free(options_.lock_free);
+  runtime_.machine().EnableParallelIdle();
+  runtime_.kernel().bindings().set_lock_free(options_.lock_free);
 
   for (const auto& binding : runtime_.bindings()) {
     if (binding->object().remote) {

@@ -38,11 +38,14 @@ constexpr int kYieldIterations = 128;
 
 void FutexDoorbell::Wake(std::atomic<std::uint32_t>* word,
                          std::atomic<std::uint32_t>* sleepers) {
-  // The Dekker handshake with WaitWhile: our word advance must be ordered
-  // before the sleepers read, as the waiter's sleepers increment is before
-  // its word re-check. One side or the other always sees the rendezvous.
-  std::atomic_thread_fence(std::memory_order_seq_cst);
-  if (sleepers->load(std::memory_order_acquire) == 0) {
+  // The Dekker handshake with WaitWhile: the caller's seq_cst word advance
+  // and this seq_cst sleepers read are ordered against the waiter's seq_cst
+  // sleepers increment and word re-check, so one side or the other always
+  // sees the rendezvous. (No fence: gcc's TSan rejects
+  // atomic_thread_fence.) A caller that advances with a weaker RMW still
+  // gets a full barrier on x86, where every RMW is a locked instruction;
+  // elsewhere a missed wake costs at most one bounded WaitWhile slice.
+  if (sleepers->load(std::memory_order_seq_cst) == 0) {
     return;  // Partner is polling; it will see the word move.
   }
   Futex(word, FUTEX_WAKE, INT_MAX, nullptr);
@@ -72,12 +75,11 @@ std::uint32_t FutexDoorbell::WaitWhile(std::atomic<std::uint32_t>* word,
     }
   }
 
-  // Announce, re-check, sleep: the fence pairs with Wake's so a ring that
-  // lands between our last poll and the futex call either sees our
-  // announcement (and wakes) or moved the word before our re-check.
-  sleepers->fetch_add(1, std::memory_order_acq_rel);
-  std::atomic_thread_fence(std::memory_order_seq_cst);
-  std::uint32_t now = word->load(std::memory_order_acquire);
+  // Announce, re-check, sleep: both seq_cst, pairing with Wake's, so a
+  // ring that lands between our last poll and the futex call either sees
+  // our announcement (and wakes) or moved the word before our re-check.
+  sleepers->fetch_add(1, std::memory_order_seq_cst);
+  std::uint32_t now = word->load(std::memory_order_seq_cst);
   if (now == seen) {
     struct timespec ts;
     ts.tv_sec = timeout_ms / 1000;

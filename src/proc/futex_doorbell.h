@@ -23,8 +23,8 @@ namespace lrpc {
 class FutexDoorbell {
  public:
   // Wakes every process sleeping on `word`, if `sleepers` says there is
-  // one. The caller must have advanced `word` (any RMW or store) before
-  // calling; the elision handshake is fenced on both sides, so a waiter
+  // one. The caller must have advanced `word` with a seq_cst RMW before
+  // calling: the elision handshake is seq_cst on both sides, so a waiter
   // that slipped past the poll window is never missed.
   static void Wake(std::atomic<std::uint32_t>* word,
                    std::atomic<std::uint32_t>* sleepers);

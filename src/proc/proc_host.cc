@@ -276,7 +276,7 @@ Status ProcHost::SpawnServer(DomainId server, const Interface* iface) {
         entry.done.store(1, std::memory_order_release);
       }
       handled = seen;
-      ch->return_seq.fetch_add(1, std::memory_order_release);
+      ch->return_seq.fetch_add(1, std::memory_order_seq_cst);
       FutexDoorbell::Wake(&ch->return_seq, &ch->return_sleepers);
       if (die == kProcDieAfterReturn) {
         kill(getpid(), SIGKILL);
@@ -295,7 +295,7 @@ Status ProcHost::SpawnServer(DomainId server, const Interface* iface) {
 
     ch->handler_code = static_cast<std::int32_t>(handler_status.code());
     handled = seen;
-    ch->return_seq.fetch_add(1, std::memory_order_release);
+    ch->return_seq.fetch_add(1, std::memory_order_seq_cst);
     FutexDoorbell::Wake(&ch->return_seq, &ch->return_sleepers);
     if (die == kProcDieAfterReturn) {
       // Chaos schedule: the call itself succeeded; die right after the
@@ -391,7 +391,7 @@ Status ProcHost::Execute(DomainId server, DomainId client, int procedure,
       ch->accept_seq.load(std::memory_order_acquire);
   const std::uint32_t returned_before =
       ch->return_seq.load(std::memory_order_acquire);
-  ch->call_seq.fetch_add(1, std::memory_order_release);
+  ch->call_seq.fetch_add(1, std::memory_order_seq_cst);
   FutexDoorbell::Wake(&ch->call_seq, &ch->call_sleepers);
   ++transfers_;
 
@@ -513,7 +513,7 @@ Status ProcHost::ExecuteBatch(DomainId server, DomainId client,
       ch->return_seq.load(std::memory_order_acquire);
   // ONE doorbell ring for the whole batch — the amortization this protocol
   // exists for; the single return ring below is its pair.
-  ch->call_seq.fetch_add(1, std::memory_order_release);
+  ch->call_seq.fetch_add(1, std::memory_order_seq_cst);
   FutexDoorbell::Wake(&ch->call_seq, &ch->call_sleepers);
   ++transfers_;
 

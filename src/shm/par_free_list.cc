@@ -4,6 +4,30 @@
 
 namespace lrpc {
 
+namespace {
+
+// Backoff after a lost head exchange (Anderson, "The Performance of Spin
+// Lock Alternatives for Shared-Memory Multiprocessors", IEEE TPDS 1990).
+// The retry reuses the head value the failed exchange handed back, so it
+// wins only if no rival moved the head during the wait; under contention
+// the losers' waits double up to the cap while the winner runs
+// uncontended, which trades fairness between callers for fewer collisions
+// on the head line. docs/concurrency.md has the sweep that chose the cap.
+constexpr int kMaxBackoffPauses = 64;
+
+void Backoff(int& pauses) {
+  for (int i = 0; i < pauses; ++i) {
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#endif
+  }
+  if (pauses < kMaxBackoffPauses) {
+    pauses *= 2;
+  }
+}
+
+}  // namespace
+
 ParFreeList::ParFreeList(std::string name, bool lock_free, int capacity)
     : name_(std::move(name)), lock_free_(lock_free), capacity_(capacity) {
   LRPC_CHECK(capacity > 0);
@@ -60,7 +84,7 @@ Result<AStackRef> ParFreeList::Pop(Processor& cpu,
   }
   if (lock_free_) {
     std::uint64_t head = head_.load(std::memory_order_acquire);
-    for (;;) {
+    for (int pauses = 1;; Backoff(pauses)) {
       const std::int32_t index = UnpackIndex(head);
       if (index < 0) {
         return Status(ErrorCode::kAStacksExhausted);
@@ -82,7 +106,6 @@ Result<AStackRef> ParFreeList::Pop(Processor& cpu,
       if (head_.compare_exchange_weak(head, Pack(UnpackTag(head) + 1, next),
                                       std::memory_order_acquire,
                                       std::memory_order_acquire)) {
-        pops_.fetch_add(1, std::memory_order_relaxed);  // LRPC_MO(stat-counter)
         return slots_[static_cast<std::size_t>(index)];
       }
       // LRPC_MO(stat-counter)
@@ -95,7 +118,6 @@ Result<AStackRef> ParFreeList::Pop(Processor& cpu,
   }
   const std::int32_t id = free_ids_.back();
   free_ids_.pop_back();
-  pops_.fetch_add(1, std::memory_order_relaxed);  // LRPC_MO(stat-counter)
   return slots_[static_cast<std::size_t>(id)];
 }
 
@@ -109,7 +131,7 @@ void ParFreeList::Push(Processor& cpu, AStackRef ref,
   if (lock_free_) {
     // LRPC_MO(cas-seed)
     std::uint64_t head = head_.load(std::memory_order_relaxed);
-    for (;;) {
+    for (int pauses = 1;; Backoff(pauses)) {
       next_[static_cast<std::size_t>(id)].store(UnpackIndex(head),
                                                 // LRPC_MO(treiber-next)
                                                 std::memory_order_relaxed);
@@ -119,8 +141,6 @@ void ParFreeList::Push(Processor& cpu, AStackRef ref,
                                       std::memory_order_release,
                                       // LRPC_MO(cas-failure-reload)
                                       std::memory_order_relaxed)) {
-        // LRPC_MO(stat-counter)
-        pushes_.fetch_add(1, std::memory_order_relaxed);
         return;
       }
       // LRPC_MO(stat-counter)
@@ -129,7 +149,6 @@ void ParFreeList::Push(Processor& cpu, AStackRef ref,
   }
   MutexLock guard(mutex_);
   free_ids_.push_back(id);
-  pushes_.fetch_add(1, std::memory_order_relaxed);  // LRPC_MO(stat-counter)
 }
 
 std::vector<AStackRef> ParFreeList::Snapshot() const {

@@ -69,12 +69,7 @@ class ParFreeList {
   // are in flight (post-run audits).
   std::vector<AStackRef> Snapshot() const;
 
-  // Contention counters (relaxed; approximate while threads run).
-  // LRPC_MO(stat-counter)
-  std::uint64_t pops() const { return pops_.load(std::memory_order_relaxed); }
-  std::uint64_t pushes() const {
-    return pushes_.load(std::memory_order_relaxed);  // LRPC_MO(stat-counter)
-  }
+  // Lost head exchanges (relaxed; approximate while threads run).
   std::uint64_t cas_retries() const {
     // LRPC_MO(stat-counter)
     return cas_retries_.load(std::memory_order_relaxed);
@@ -126,10 +121,10 @@ class ParFreeList {
   mutable Mutex mutex_;
   std::vector<std::int32_t> free_ids_ LRPC_GUARDED_BY(mutex_);
 
-  // Statistics, on their own line so bumping them never invalidates head_.
-  LRPC_CACHELINE_ALIGNED std::atomic<std::uint64_t> pops_{0};
-  std::atomic<std::uint64_t> pushes_{0};
-  std::atomic<std::uint64_t> cas_retries_{0};
+  // On its own line so bumping it never invalidates head_. Only a lost
+  // exchange bumps it: a per-operation counter here would be one more
+  // shared write on every call.
+  LRPC_CACHELINE_ALIGNED std::atomic<std::uint64_t> cas_retries_{0};
 };
 
 static_assert(sizeof(std::atomic<std::uint64_t>) == 8);

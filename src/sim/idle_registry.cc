@@ -4,18 +4,10 @@
 
 namespace lrpc {
 
-IdleProcessorRegistry::IdleProcessorRegistry(int processor_count,
-                                             int max_contexts)
-    : processor_count_(processor_count), max_contexts_(max_contexts) {
+IdleProcessorRegistry::IdleProcessorRegistry(int processor_count)
+    : processor_count_(processor_count) {
   LRPC_CHECK(processor_count > 0);
-  LRPC_CHECK(max_contexts > 0);
   slots_ = std::make_unique<Slot[]>(static_cast<std::size_t>(processor_count));
-  miss_counts_ = std::make_unique<std::atomic<std::uint64_t>[]>(
-      static_cast<std::size_t>(max_contexts));
-  for (int i = 0; i < max_contexts; ++i) {
-    miss_counts_[static_cast<std::size_t>(i)].store(
-        0, std::memory_order_relaxed);  // LRPC_MO(setup-single-thread)
-  }
 }
 
 void IdleProcessorRegistry::Park(int cpu, VmContextId context) {
@@ -53,8 +45,6 @@ int IdleProcessorRegistry::TryClaimInContext(VmContextId context) {
   // line per processor — twice per call — just to find nothing.
   // LRPC_MO(advisory-hint)
   if (parked_hint_.load(std::memory_order_relaxed) <= 0) {
-    // LRPC_MO(stat-counter)
-    failed_claims_.fetch_add(1, std::memory_order_relaxed);
     return -1;
   }
   const std::uint64_t want = Encode(context);
@@ -76,40 +66,7 @@ int IdleProcessorRegistry::TryClaimInContext(VmContextId context) {
       return i;
     }
   }
-  // LRPC_MO(stat-counter)
-  failed_claims_.fetch_add(1, std::memory_order_relaxed);
   return -1;
-}
-
-void IdleProcessorRegistry::RecordMiss(VmContextId context) {
-  if (context < 0 || context >= max_contexts_) {
-    return;
-  }
-  miss_counts_[static_cast<std::size_t>(context)].fetch_add(
-      1, std::memory_order_relaxed);  // LRPC_MO(stat-counter)
-}
-
-std::uint64_t IdleProcessorRegistry::misses(VmContextId context) const {
-  if (context < 0 || context >= max_contexts_) {
-    return 0;
-  }
-  return miss_counts_[static_cast<std::size_t>(context)].load(
-      std::memory_order_relaxed);  // LRPC_MO(stat-counter)
-}
-
-VmContextId IdleProcessorRegistry::BusiestMissedContext() const {
-  VmContextId best = kNoVmContext;
-  std::uint64_t best_count = 0;
-  for (int i = 0; i < max_contexts_; ++i) {
-    const std::uint64_t count =
-        miss_counts_[static_cast<std::size_t>(i)].load(
-            std::memory_order_relaxed);  // LRPC_MO(stat-counter)
-    if (count > best_count) {
-      best_count = count;
-      best = static_cast<VmContextId>(i);
-    }
-  }
-  return best;
 }
 
 int IdleProcessorRegistry::parked_count() const {

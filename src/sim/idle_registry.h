@@ -16,10 +16,6 @@
 // processor's clock, TLB and loaded context. The kernel's EnterDomain uses
 // this registry instead of the scan whenever a Machine has it enabled.
 //
-// Idle-miss counters (what ProdIdleProcessors steers by in the simulator)
-// are kept here as fixed-capacity relaxed atomics so the miss path never
-// resizes shared storage.
-//
 // Claiming is attempted twice per call (call and return leg), so the scan
 // is fronted by a relaxed parked-count hint: when nothing is parked — the
 // common case for a saturated machine — TryClaimInContext returns without
@@ -40,9 +36,7 @@ namespace lrpc {
 
 class IdleProcessorRegistry {
  public:
-  // `max_contexts` bounds the VM context ids the miss counters can track;
-  // misses on larger ids are counted in aggregate only.
-  IdleProcessorRegistry(int processor_count, int max_contexts);
+  explicit IdleProcessorRegistry(int processor_count);
 
   // Publishes processor `cpu` as claimable, idling in `context`. Release:
   // everything done to the processor before parking is visible to the
@@ -55,20 +49,10 @@ class IdleProcessorRegistry {
   // winner owns the processor outright until it parks it again.
   int TryClaimInContext(VmContextId context);
 
-  // A call wanted an idler in `context` and found none (drives prodding
-  // decisions, mirrors Machine::RecordIdleMiss).
-  void RecordMiss(VmContextId context);
-  std::uint64_t misses(VmContextId context) const;
-  VmContextId BusiestMissedContext() const;
-
   int processor_count() const { return processor_count_; }
   int parked_count() const;
   std::uint64_t claims() const {
     return claims_.load(std::memory_order_relaxed);  // LRPC_MO(stat-counter)
-  }
-  std::uint64_t failed_claims() const {
-    // LRPC_MO(stat-counter)
-    return failed_claims_.load(std::memory_order_relaxed);
   }
 
  private:
@@ -86,9 +70,7 @@ class IdleProcessorRegistry {
                 "idle-registry layout audit: one line per slot");
 
   int processor_count_;
-  int max_contexts_;
   std::unique_ptr<Slot[]> slots_;
-  std::unique_ptr<std::atomic<std::uint64_t>[]> miss_counts_;
   // Advisory count of parked slots, maintained by Park/Unpark/claims with
   // relaxed operations. Relaxation argument (docs/fast_path.md): the hint
   // only gates an OPTIMIZATION — a claimant that reads 0 while a park is in
@@ -97,10 +79,9 @@ class IdleProcessorRegistry {
   // just scans and fails as before. No caller derives exclusivity or
   // visibility from the hint, so no ordering stronger than relaxed buys
   // anything. Its own line: it is written by every park/claim and read by
-  // every call, and must not drag the statistics counters along.
+  // every call, and must not drag the claim counter along.
   LRPC_CACHELINE_ALIGNED std::atomic<int> parked_hint_{0};
   LRPC_CACHELINE_ALIGNED std::atomic<std::uint64_t> claims_{0};
-  std::atomic<std::uint64_t> failed_claims_{0};
 };
 
 }  // namespace lrpc

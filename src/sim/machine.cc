@@ -15,6 +15,12 @@ Machine::Machine(MachineModel model, int processor_count)
   }
 }
 
+void Machine::BindBackend(bool simulates_costs) {
+  LRPC_CHECK(!backend_bound_ || simulates_costs_ == simulates_costs);
+  backend_bound_ = true;
+  simulates_costs_ = simulates_costs;
+}
+
 void Machine::MarkIdle(Processor& cpu) { cpu.set_idle(true); }
 
 void Machine::MarkBusy(Processor& cpu) { cpu.set_idle(false); }

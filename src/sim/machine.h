@@ -18,11 +18,19 @@
 
 namespace lrpc {
 
+class LrpcRuntime;
+
 class Machine {
  public:
   Machine(MachineModel model, int processor_count);
 
   const MachineModel& model() const { return model_; }
+
+  // Whether the processors keep the C-VAX cost ledger and TLB model (the
+  // deterministic simulator) or only the clock (the host backends, where
+  // nothing reads a ledger or a TLB). The backend of the LrpcRuntime built
+  // on this machine decides it; a machine no runtime runs on simulates.
+  bool simulates_costs() const { return simulates_costs_; }
   int processor_count() const { return static_cast<int>(processors_.size()); }
 
   Processor& processor(int i) { return *processors_[static_cast<std::size_t>(i)]; }
@@ -60,10 +68,8 @@ class Machine {
   // Replaces the scan-based registry above with a lock-free one; while
   // enabled, Kernel::EnterDomain claims idlers through it instead of
   // FindIdleInContext, and Kernel::ParkIdleProcessor publishes through it.
-  // `max_contexts` bounds the VM context ids the miss counters track.
-  void EnableParallelIdle(int max_contexts) {
-    par_idle_ = std::make_unique<IdleProcessorRegistry>(processor_count(),
-                                                        max_contexts);
+  void EnableParallelIdle() {
+    par_idle_ = std::make_unique<IdleProcessorRegistry>(processor_count());
   }
   IdleProcessorRegistry* parallel_idle() { return par_idle_.get(); }
 
@@ -86,11 +92,18 @@ class Machine {
   void Reset();
 
  private:
+  // The runtime's constructor is the only place a backend is chosen, so it
+  // is the only caller; every runtime built on one machine must agree.
+  friend class LrpcRuntime;
+  void BindBackend(bool simulates_costs);
+
   MachineModel model_;
   std::vector<std::unique_ptr<Processor>> processors_;
   int active_processors_ = 1;
   std::vector<std::uint64_t> idle_miss_counts_;  // Indexed by VmContextId.
   std::unique_ptr<IdleProcessorRegistry> par_idle_;
+  bool backend_bound_ = false;
+  bool simulates_costs_ = true;
 };
 
 }  // namespace lrpc

@@ -5,7 +5,9 @@
 namespace lrpc {
 
 void Processor::Charge(CostCategory category, SimDuration amount) {
-  ledger_.Charge(category, amount);
+  if (machine_ == nullptr || machine_->simulates_costs()) {
+    ledger_.Charge(category, amount);
+  }
   const double factor = machine_ != nullptr ? machine_->ContentionFactor() : 1.0;
   clock_ += static_cast<SimDuration>(static_cast<double>(amount) * factor + 0.5);
 }
@@ -16,7 +18,9 @@ void Processor::LoadContext(VmContextId context) {
   }
   loaded_context_ = context;
   // No process tag in the TLB: a context switch invalidates everything.
-  tlb_.Invalidate();
+  if (machine_ == nullptr || machine_->simulates_costs()) {
+    tlb_.Invalidate();
+  }
 }
 
 }  // namespace lrpc

@@ -3,7 +3,9 @@
 // implementations advances the clock of the processor it runs on; the
 // machine-wide bus-contention factor stretches wall-clock time when several
 // processors are active, while the ledger always records uncontended model
-// costs (so Table 5 sums exactly regardless of load).
+// costs (so Table 5 sums exactly regardless of load). The ledger and the TLB
+// model run only when the machine simulates costs (Machine::simulates_costs);
+// on the host backends a charge advances the clock alone.
 
 #ifndef SRC_SIM_PROCESSOR_H_
 #define SRC_SIM_PROCESSOR_H_
@@ -24,9 +26,9 @@ using VmContextId = std::int32_t;
 constexpr VmContextId kNoVmContext = -1;
 
 // Line-aligned: the parallel machine stores processors contiguously and
-// each worker thread advances its own clock/ledger on every call, so a
-// processor must never share a cache line with its neighbour
-// (docs/fast_path.md layout audit).
+// each worker thread advances its own clock on every call (host calls
+// advance only the clock), so a processor must never share a cache line
+// with its neighbour (docs/fast_path.md layout audit).
 class LRPC_CACHELINE_ALIGNED Processor {
  public:
   Processor(Machine* machine, int id, int tlb_entries)
@@ -42,7 +44,8 @@ class LRPC_CACHELINE_ALIGNED Processor {
   VmContextId loaded_context() const { return loaded_context_; }
 
   // Charges `amount` of work in `category`: the ledger records the raw
-  // amount; the clock advances by the bus-contention-scaled amount.
+  // amount (only when the machine simulates costs); the clock advances by
+  // the bus-contention-scaled amount.
   void Charge(CostCategory category, SimDuration amount);
 
   // Advances the clock without attributing model cost (e.g. idle spinning
@@ -54,8 +57,9 @@ class LRPC_CACHELINE_ALIGNED Processor {
   }
 
   // Loads a VM context. If it differs from the loaded one, the (untagged)
-  // TLB is invalidated. Does NOT charge time; callers charge the
-  // context-switch cost explicitly so it lands in the right category.
+  // TLB is invalidated when the machine simulates costs. Does NOT charge
+  // time; callers charge the context-switch cost explicitly so it lands in
+  // the right category.
   void LoadContext(VmContextId context);
 
   // Sets the loaded context without touching the TLB. Used by the

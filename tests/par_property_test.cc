@@ -300,7 +300,16 @@ TEST(BackendEquivalenceProperty, SingleWorkerMatchesSimulatorCallForCall) {
     ParWorld sim(sim_options);
 
     std::mt19937 rng(static_cast<std::mt19937::result_type>(seed) + 500);
+    const Processor& par_cpu = par.machine().processor(0);
+    const Processor& sim_cpu = sim.machine().processor(0);
     for (int call = 0; call < 12; ++call) {
+      // Only the simulator keeps the ledger and the TLB model; the host
+      // backend advances the clock alone.
+      const SimDuration par_ledger = par_cpu.ledger().GrandTotal();
+      const SimDuration sim_ledger = sim_cpu.ledger().GrandTotal();
+      const std::uint64_t par_tlb[] = {par_cpu.tlb().hit_count(),
+                                       par_cpu.tlb().miss_count(),
+                                       par_cpu.tlb().invalidation_count()};
       CallStats par_stats;
       CallStats sim_stats;
       Status par_status = Status::Ok();
@@ -350,10 +359,14 @@ TEST(BackendEquivalenceProperty, SingleWorkerMatchesSimulatorCallForCall) {
       ASSERT_EQ(par_stats.exchanged_on_call, sim_stats.exchanged_on_call)
           << "seed " << seed << " call " << call;
       ASSERT_EQ(par_stats.astack_bytes, sim_stats.astack_bytes);
-      ASSERT_EQ(par.machine().processor(0).clock(),
-                sim.machine().processor(0).clock())
+      ASSERT_EQ(par_cpu.clock(), sim_cpu.clock())
           << "seed " << seed << " call " << call
           << ": the engines' cost accounting diverged";
+      ASSERT_EQ(par_cpu.ledger().GrandTotal(), par_ledger);
+      ASSERT_GT(sim_cpu.ledger().GrandTotal(), sim_ledger);
+      ASSERT_EQ(par_cpu.tlb().hit_count(), par_tlb[0]);
+      ASSERT_EQ(par_cpu.tlb().miss_count(), par_tlb[1]);
+      ASSERT_EQ(par_cpu.tlb().invalidation_count(), par_tlb[2]);
     }
     ASSERT_EQ(par.server_calls_seen(), sim.server_calls_seen());
     ASSERT_TRUE(par.par()->AuditConservation().ok());

@@ -42,8 +42,20 @@ TEST(ProcBackendTest, NullCallRunsInTheServerProcess) {
   ASSERT_NE(world.host().peer_pid(world.server_domain()), -1);
   EXPECT_NE(world.host().peer_pid(world.server_domain()), getpid());
 
+  // The client's processor keeps its clock but not the simulator's ledger
+  // or TLB model.
+  const Processor& cpu = world.cpu();
   for (int i = 0; i < 10; ++i) {
+    const SimTime clock = cpu.clock();
+    const SimDuration ledger = cpu.ledger().GrandTotal();
+    const std::uint64_t tlb[] = {cpu.tlb().hit_count(), cpu.tlb().miss_count(),
+                                 cpu.tlb().invalidation_count()};
     EXPECT_TRUE(world.CallNull().ok());
+    EXPECT_GT(cpu.clock(), clock);
+    EXPECT_EQ(cpu.ledger().GrandTotal(), ledger);
+    EXPECT_EQ(cpu.tlb().hit_count(), tlb[0]);
+    EXPECT_EQ(cpu.tlb().miss_count(), tlb[1]);
+    EXPECT_EQ(cpu.tlb().invalidation_count(), tlb[2]);
   }
   // The shared-segment counter moved: the handler ran in the child. (A
   // parent-heap counter would stay 0 — fork copies, it does not share.)
