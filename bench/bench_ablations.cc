@@ -106,7 +106,7 @@ void AblateSecondaryAStacks() {
   const double primary = NullMicros(bed);
   // Drain the primary region so every call lands on a secondary A-stack.
   const int group = bed.interface_spec()->pd(bed.null_proc()).astack_group;
-  while (bed.binding().queue(group).Pop(bed.cpu(0)).ok()) {
+  while (bed.binding().free_list(group).Pop(bed.cpu(0)).ok()) {
   }
   (void)bed.CallNull();  // Grows a secondary region.
   const SimTime start = bed.cpu(0).clock();

@@ -127,8 +127,11 @@ class BindingTable {
   // Installed by Kernel::set_fault_injector; null means no injection.
   void set_fault_injector(FaultInjector* injector) { injector_ = injector; }
 
-  // false selects the single-lock baseline. Set before any validator runs.
+  // false selects the single-lock baseline, for this table and for every
+  // A-stack free list LrpcRuntime::Import builds. Set before the first
+  // import (ParallelMachine's constructor does), so no validator runs yet.
   void set_lock_free(bool lock_free) { lock_free_ = lock_free; }
+  bool lock_free() const { return lock_free_; }
 
   // Monotonic mutation counter; cached validations are tagged with it.
   std::uint64_t generation() const {

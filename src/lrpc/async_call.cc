@@ -249,8 +249,9 @@ void AsyncRing::Flush(Processor& cpu) {
       // process finished before it died keeps its results.
       const bool ran =
           slot.proc != nullptr && runtime_.ReadProcLeg(*slot.proc, slot);
-      Status status = ran ? slot.call_stats.server_status
-                          : LrpcRuntime::DeadPeerStatus(slot);
+      Status status =
+          ran ? LrpcRuntime::StatusAfterHandler(slot.call_stats.server_status)
+              : LrpcRuntime::DeadPeerStatus(slot);
       if (ran && status.ok()) {
         status = runtime_.UnmarshalResults(cpu, slot.client->id(),
                                            *slot.pd->def, slot.astack,

@@ -308,11 +308,11 @@ Result<Thread*> LrpcRuntime::EnterClientStub(Processor& cpu,
   return t;
 }
 
-// Client stub, call half: take an A-stack off the procedure's LIFO queue and
-// push the arguments onto it (copy A; Modula2+ conventions with a separate
-// argument pointer make this directly usable by the server) — or, on the
-// inline path, move the caller's packed window into the linkage record's
-// registers with a single copy (Section 2.2).
+// Client stub, call half: take an A-stack off the procedure's LIFO free list
+// and push the arguments onto it (copy A; Modula2+ conventions with a
+// separate argument pointer make this directly usable by the server) — or,
+// on the inline path, move the caller's packed window into the linkage
+// record's registers with a single copy (Section 2.2).
 Result<Thread*> LrpcRuntime::ClientCallHalf(Processor& cpu, ThreadId thread_id,
                                             ClientBinding& binding,
                                             std::span<const CallArg> args,
@@ -330,8 +330,8 @@ Result<Thread*> LrpcRuntime::ClientCallHalf(Processor& cpu, ThreadId thread_id,
   slot.client = kernel_.FindDomain(binding.client());
   LRPC_CHECK(slot.client != nullptr);
 
-  // The stub cost outside the two queue critical sections; the queue ops
-  // themselves are charged while the per-queue lock is held.
+  // The stub cost outside the two free-list critical sections; the pop and
+  // the push are charged while the group's lock is held.
   const MachineModel& model = machine().model();
   cpu.Charge(CostCategory::kClientStub,
              model.lrpc_client_stub - 2 * model.astack_queue_lock_hold);
@@ -341,30 +341,21 @@ Result<Thread*> LrpcRuntime::ClientCallHalf(Processor& cpu, ThreadId thread_id,
                      kClientBindingPages);
   kernel_.TouchPages(cpu, pages + kClientAStackPageOffset, 1);
 
-  // The injection point makes the queue read as empty: the pool is
-  // exhausted (Section 5.2). Under the parallel-host backend the binding
-  // carries a real-thread overlay of the free list; every pop and push of
-  // the call goes through it instead of the SimLock-guarded queue
-  // (docs/concurrency.md), and the simulated queue is not even looked up.
-  slot.par_list = binding.par_queue(pd.astack_group);
-  slot.queue =
-      slot.par_list == nullptr ? &binding.queue(pd.astack_group) : nullptr;
+  // The injection point makes the free list read as empty: the pool is
+  // exhausted (Section 5.2). Growth is single-threaded, so Import pins
+  // parallel-host bindings to kFail.
+  slot.free_list = &binding.free_list(pd.astack_group);
   Result<AStackRef> astack =
       FaultPointFires(kernel_.fault_injector(), FaultKind::kAStackExhaustion)
           ? Result<AStackRef>(
                 Status(ErrorCode::kAStacksExhausted, "fault injection: empty"))
-      : slot.par_list != nullptr
-          ? slot.par_list->Pop(cpu, model.astack_queue_lock_hold)
-          : slot.queue->Pop(cpu, model.astack_queue_lock_hold);
+          : slot.free_list->Pop(cpu, model.astack_queue_lock_hold);
   if (!astack.ok()) {
-    // Growing mutates the binding's region list, which concurrent calls
-    // read without a lock; parallel worlds provision a fixed set instead.
-    if (slot.par_list != nullptr ||
-        binding.exhaustion_policy() != AStackExhaustionPolicy::kAllocateMore) {
+    if (binding.exhaustion_policy() != AStackExhaustionPolicy::kAllocateMore) {
       return astack.status();
     }
     LRPC_RETURN_IF_ERROR(GrowAStacks(cpu, binding, pd.astack_group));
-    astack = slot.queue->Pop(cpu, model.astack_queue_lock_hold);
+    astack = slot.free_list->Pop(cpu, model.astack_queue_lock_hold);
     if (!astack.ok()) {
       return astack.status();
     }
@@ -623,7 +614,7 @@ Status LrpcRuntime::KernelReturnLeg(Processor& cpu, Thread& t,
   if (t.captured()) {
     // The client abandoned this call (Section 5.3): the captured thread is
     // destroyed in the kernel when released. Its A-stack returns to the
-    // free queue; the replacement thread already carries call-aborted.
+    // free list; the replacement thread already carries call-aborted.
     if (t.HasLinkages() && t.linkage_stack().back() == slot.astack) {
       t.PopLinkage();
     }
@@ -679,7 +670,7 @@ Status LrpcRuntime::ClientReturnHalf(Processor& cpu, CallSlot& slot) {
     }
   }
   // The A-stack stays claimed (in_use) across the return transfer and the
-  // unmarshal; it leaves "claimed" only by rejoining the free queue.
+  // unmarshal; it leaves "claimed" only by rejoining the free list.
   EndCall(cpu, slot, /*requeue=*/true);
 
   // After a processor exchange the calling thread runs on a processor whose
@@ -690,7 +681,20 @@ Status LrpcRuntime::ClientReturnHalf(Processor& cpu, CallSlot& slot) {
                Micros(machine().model().exchange_cold_per_byte_us *
                       static_cast<double>(cs.astack_bytes)));
   }
-  return cs.server_status.ok() ? unmarshal : cs.server_status;
+  return cs.server_status.ok() ? unmarshal
+                               : StatusAfterHandler(cs.server_status);
+}
+
+// A handler that ran may not report a retryable status: the caller reads
+// one as a failure before the server accepted the call (Status::Retryable)
+// and would run the handler again. Such a status ends the call as
+// kCallFailed; every other handler status, kCallAborted included (an
+// honored alert, Section 5.3), is the call's.
+Status LrpcRuntime::StatusAfterHandler(const Status& handler_status) {
+  return handler_status.Retryable()
+             ? Status(ErrorCode::kCallFailed,
+                      "handler returned a retryable status")
+             : handler_status;
 }
 
 void LrpcRuntime::ReturnAStack(Processor& cpu, CallSlot& slot, bool requeue) {
@@ -699,14 +703,9 @@ void LrpcRuntime::ReturnAStack(Processor& cpu, CallSlot& slot, bool requeue) {
     ReleaseOobSegment(index);
   }
   slot.oob.clear();
-  if (!requeue) {
-    return;
-  }
-  const SimDuration hold = machine().model().astack_queue_lock_hold;
-  if (slot.par_list != nullptr) {
-    slot.par_list->Push(cpu, slot.astack, hold);
-  } else {
-    slot.queue->Push(cpu, slot.astack, hold);
+  if (requeue) {
+    slot.free_list->Push(cpu, slot.astack,
+                         machine().model().astack_queue_lock_hold);
   }
 }
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <map>
 #include <memory>
 #include <utility>
 
@@ -54,58 +53,9 @@ bool DocumentedImportStatus(ErrorCode code) {
 }  // namespace
 
 void RegisterAStackConservationCheck(InvariantChecker& checker,
-                                     LrpcRuntime& runtime) {
-  checker.AddCheck([&runtime](Kernel& kernel,
-                              std::vector<std::string>& found) {
-    (void)kernel;
-    for (const auto& binding : runtime.bindings()) {
-      const BindingRecord* record =
-          const_cast<ClientBinding&>(*binding).record();
-      if (record == nullptr || record->revoked || record->remote) {
-        // A revoked binding's unwind paths drop A-stacks by design; there
-        // is nothing left to conserve.
-        continue;
-      }
-      ClientBinding& b = const_cast<ClientBinding&>(*binding);
-      int queued = 0;
-      std::map<std::pair<const AStackRegion*, int>, bool> seen;
-      for (int group = 0; group < b.queue_count(); ++group) {
-        for (const AStackRef& ref : b.queue(group).entries()) {
-          ++queued;
-          if (!ref.valid()) {
-            found.push_back("binding " + std::to_string(record->id) +
-                            " has an invalid queued A-stack");
-            continue;
-          }
-          if (ref.linkage().in_use) {
-            found.push_back("binding " + std::to_string(record->id) +
-                            " queues A-stack " + std::to_string(ref.index) +
-                            " that is still in use (double free)");
-          }
-          if (!seen.emplace(std::make_pair(ref.region, ref.index), true)
-                   .second) {
-            found.push_back("binding " + std::to_string(record->id) +
-                            " queues A-stack " + std::to_string(ref.index) +
-                            " twice");
-          }
-        }
-      }
-      int in_use = 0;
-      for (const auto& region : record->regions) {
-        for (int i = 0; i < region->count(); ++i) {
-          if (region->linkage(i).in_use) {
-            ++in_use;
-          }
-        }
-      }
-      if (queued + in_use != b.allocated_astacks()) {
-        found.push_back(
-            "binding " + std::to_string(record->id) + " conservation: " +
-            std::to_string(queued) + " queued + " + std::to_string(in_use) +
-            " in use != " + std::to_string(b.allocated_astacks()) +
-            " allocated (leak or double free)");
-      }
-    }
+                                     const LrpcRuntime& runtime) {
+  checker.AddCheck([&runtime](Kernel&, std::vector<std::string>& found) {
+    runtime.AuditAStacks(/*quiescent=*/false, found);
   });
 }
 

@@ -108,12 +108,11 @@ struct ChaosResult {
 // Builds the world, runs the schedule, tears everything down.
 ChaosResult RunChaosSchedule(const ChaosOptions& options);
 
-// Registers the A-stack free-list conservation audit with `checker`: for
-// every live binding, queued + in-use A-stacks must equal the number ever
-// allocated, queued entries must be unique and not in use. (Lives here, not
-// in the checker: only the LRPC layer can see the client-side queues.)
+// Registers LrpcRuntime::AuditAStacks, the A-stack conservation audit,
+// with `checker`, to run after every kernel event while calls are in
+// flight. (The checker cannot see the client-side free lists itself.)
 void RegisterAStackConservationCheck(InvariantChecker& checker,
-                                     LrpcRuntime& runtime);
+                                     const LrpcRuntime& runtime);
 
 }  // namespace lrpc
 

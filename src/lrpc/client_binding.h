@@ -2,8 +2,9 @@
 //
 // After a successful import the client holds the Binding Object (presented
 // to the kernel on every call) and, for each procedure's A-stack group, a
-// list of the A-stacks allocated at bind time, managed as a LIFO queue
-// guarded by its own lock (Sections 3.1-3.2).
+// free list of the A-stacks allocated at bind time, managed as a LIFO
+// guarded by its own lock (Sections 3.1-3.2) — or, on the lock-free
+// discipline, by no lock at all (src/shm/par_free_list.h).
 
 #ifndef SRC_LRPC_CLIENT_BINDING_H_
 #define SRC_LRPC_CLIENT_BINDING_H_
@@ -21,7 +22,7 @@
 
 namespace lrpc {
 
-// What to do when a call finds the procedure's A-stack queue empty
+// What to do when a call finds the procedure's A-stack free list empty
 // (Section 5.2: "the client can either wait for one to become available...
 // or allocate more").
 enum class AStackExhaustionPolicy : std::uint8_t {
@@ -43,34 +44,24 @@ class LRPC_CACHELINE_ALIGNED ClientBinding {
   AStackExhaustionPolicy exhaustion_policy() const { return policy_; }
   void set_exhaustion_policy(AStackExhaustionPolicy p) { policy_ = p; }
 
-  // One free queue per A-stack sharing group.
-  void AddQueue(std::unique_ptr<AStackQueue> queue) {
-    queues_.push_back(std::move(queue));
+  // One A-stack free list per A-stack sharing group, built by Import.
+  void AddFreeList(std::unique_ptr<ParFreeList> list) {
+    free_lists_.push_back(std::move(list));
   }
-  AStackQueue& queue(int group) {
-    return *queues_[static_cast<std::size_t>(group)];
+  ParFreeList& free_list(int group) {
+    return *free_lists_[static_cast<std::size_t>(group)];
   }
-  int queue_count() const { return static_cast<int>(queues_.size()); }
+  int free_list_count() const { return static_cast<int>(free_lists_.size()); }
 
-  // Real-thread overlay of the free queues (docs/concurrency.md): when the
-  // ParallelMachine adopts a world it installs one ParFreeList per group,
-  // and the call path routes every pop and push through it instead of the
-  // SimLock-guarded queue. Non-owning; null in the deterministic backend.
-  void set_par_queue(int group, ParFreeList* list) {
-    if (par_queues_.size() <= static_cast<std::size_t>(group)) {
-      par_queues_.resize(static_cast<std::size_t>(group) + 1, nullptr);
+  // Total A-stacks ever allocated to this binding (primary + secondary):
+  // every one is registered with its group's free list.
+  int allocated_astacks() const {
+    int total = 0;
+    for (const auto& list : free_lists_) {
+      total += list->registered();
     }
-    par_queues_[static_cast<std::size_t>(group)] = list;
+    return total;
   }
-  ParFreeList* par_queue(int group) const {
-    return static_cast<std::size_t>(group) < par_queues_.size()
-               ? par_queues_[static_cast<std::size_t>(group)]
-               : nullptr;
-  }
-
-  // Total A-stacks ever allocated to this binding (primary + secondary).
-  int allocated_astacks() const { return allocated_astacks_; }
-  void add_allocated(int n) { allocated_astacks_ += n; }
 
   // The per-binding circuit breaker (docs/supervision.md), created lazily
   // by the first supervised call so unsupervised bindings pay nothing.
@@ -86,27 +77,24 @@ class LRPC_CACHELINE_ALIGNED ClientBinding {
 
  private:
   // Hot-first member order (docs/fast_path.md layout audit): every call
-  // reads the Binding Object, the interface, the binding record and — in
-  // the real-thread backend — the par-queue overlay pointer, so those four
-  // lead the class and share its first (aligned) cache line. The simulated
-  // queue vector, bind-time bookkeeping and the lazily-built breaker are
-  // per-call-cold and follow.
+  // reads the Binding Object, the interface, the binding record and the
+  // free-list vector, so those four lead the class and share its first
+  // (aligned) cache line. Bind-time bookkeeping and the lazily-built breaker
+  // are per-call-cold and follow.
   BindingObject object_;
   const Interface* iface_;
   BindingRecord* record_;
-  std::vector<ParFreeList*> par_queues_;
+  std::vector<std::unique_ptr<ParFreeList>> free_lists_;
   // --- end of the per-call hot group ---
-  std::vector<std::unique_ptr<AStackQueue>> queues_;
   DomainId client_;
   AStackExhaustionPolicy policy_ = AStackExhaustionPolicy::kAllocateMore;
-  int allocated_astacks_ = 0;
   std::unique_ptr<CircuitBreaker> breaker_;
 
   // The class is not standard-layout (vector members), so the audit asserts
   // sizes rather than offsets: the hot group starts at offset 0 (first
   // member, no bases, no vtable) and must fit the first line.
   static_assert(sizeof(BindingObject) + 2 * sizeof(void*) +
-                        sizeof(std::vector<ParFreeList*>) <=
+                        sizeof(std::vector<std::unique_ptr<ParFreeList>>) <=
                     kCacheLineSize,
                 "client-binding layout audit: hot group exceeds one line");
 };

@@ -1,6 +1,8 @@
 #include "src/lrpc/runtime.h"
 
 #include <cstring>
+#include <set>
+#include <utility>
 
 #include "src/common/check.h"
 #include "src/common/logging.h"
@@ -88,24 +90,28 @@ Result<ClientBinding*> LrpcRuntime::Import(Processor& cpu, DomainId client_id,
 
   auto binding =
       std::make_unique<ClientBinding>(client_id, object, iface, &record);
+  if (backend_ == RuntimeBackend::kParallelHost) {
+    // Growth registers free-list nodes, which only a single thread may do;
+    // concurrent callers get the bind-time A-stacks and no more.
+    binding->set_exhaustion_policy(AStackExhaustionPolicy::kFail);
+  }
 
   // ...and, for each A-stack sharing group, pair-wise allocates the
   // bind-time A-stacks in a single contiguous region (fast validation) and
-  // hands the client the A-stack list (Section 3.1). Remote bindings have
-  // no shared A-stacks: calls go through the network path.
+  // hands the client the A-stack list (Section 3.1), under the lock
+  // discipline the kernel's binding table was given before the first
+  // import. Remote bindings have no shared A-stacks: calls go through the
+  // network path.
   if (!remote) {
     for (int group = 0; group < iface->astack_group_count(); ++group) {
-      const std::size_t size = iface->group_astack_size(group);
-      const int count = iface->group_astack_count(group);
-      AStackRegion* region =
-          kernel_.AllocateAStacks(record, size, count, /*secondary=*/false);
-      auto queue = std::make_unique<AStackQueue>(
-          iface->name() + ".group" + std::to_string(group));
-      for (int i = 0; i < count; ++i) {
-        queue->Push(cpu, AStackRef{region, i});
-      }
-      binding->AddQueue(std::move(queue));
-      binding->add_allocated(count);
+      AStackRegion* region = kernel_.AllocateAStacks(
+          record, iface->group_astack_size(group),
+          iface->group_astack_count(group), /*secondary=*/false);
+      auto list = std::make_unique<ParFreeList>(
+          iface->name() + ".group" + std::to_string(group),
+          kernel_.bindings().lock_free());
+      list->AddRegion(cpu, region);
+      binding->AddFreeList(std::move(list));
     }
   }
 
@@ -135,13 +141,62 @@ Status LrpcRuntime::GrowAStacks(Processor& cpu, ClientBinding& binding,
   // will validate more slowly (Section 5.2).
   AStackRegion* region =
       kernel_.AllocateAStacks(*binding.record(), size, count, /*secondary=*/true);
-  for (int i = 0; i < count; ++i) {
-    binding.queue(group).Push(cpu, AStackRef{region, i});
-  }
-  binding.add_allocated(count);
+  binding.free_list(group).AddRegion(cpu, region);
   LRPC_LOG(kDebug) << "grew binding " << binding.object().id << " group "
                    << group << " by " << count << " secondary A-stacks";
   return Status::Ok();
+}
+
+void LrpcRuntime::AuditAStacks(bool quiescent,
+                               std::vector<std::string>& found) const {
+  for (const auto& binding : bindings_) {
+    const BindingRecord* record = binding->record();
+    if (record == nullptr || record->revoked || record->remote) {
+      // A revoked binding's unwind paths drop A-stacks by design; there is
+      // nothing left to conserve.
+      continue;
+    }
+    const auto report = [&](const std::string& what) {
+      found.push_back("binding " + std::to_string(record->id) + what);
+    };
+    int free = 0;
+    std::set<std::pair<const AStackRegion*, int>> seen;
+    for (int group = 0; group < binding->free_list_count(); ++group) {
+      const ParFreeList& list = binding->free_list(group);
+      const std::vector<AStackRef> free_now = list.Snapshot();
+      if (static_cast<int>(free_now.size()) > list.registered()) {
+        report(" group " + std::to_string(group) +
+               ": the free list is longer than its registered set "
+               "(corrupted)");
+      }
+      for (const AStackRef& ref : free_now) {
+        ++free;
+        if (ref.linkage().in_use) {
+          report(" frees A-stack " + std::to_string(ref.index) +
+                 " that is still in use (double free)");
+        }
+        if (!seen.emplace(ref.region, ref.index).second) {
+          report(" frees A-stack " + std::to_string(ref.index) + " twice");
+        }
+      }
+    }
+    int claimed = 0;
+    for (const auto& region : record->regions) {
+      for (int i = 0; i < region->count(); ++i) {
+        claimed += region->linkage(i).in_use ? 1 : 0;
+      }
+    }
+    if (quiescent && claimed > 0) {
+      report(": " + std::to_string(claimed) +
+             " A-stacks are still claimed with no call outstanding (lost)");
+    }
+    if (free + claimed != binding->allocated_astacks()) {
+      report(" conservation: " + std::to_string(free) + " free + " +
+             std::to_string(claimed) + " in use != " +
+             std::to_string(binding->allocated_astacks()) +
+             " allocated (leak or double free)");
+    }
+  }
 }
 
 SharedSegment* LrpcRuntime::OobSegment(std::uint64_t index) {

@@ -220,6 +220,15 @@ class LrpcRuntime {
     return bindings_;
   }
 
+  // The A-stack conservation audit, over every live local binding: each
+  // group's free list holds distinct A-stacks that no call has claimed,
+  // and free plus claimed equals the number the binding ever allocated.
+  // `quiescent` (no call outstanding) makes a claimed A-stack a loss.
+  // Appends one string per violation. Each list walk stops at the list's
+  // registered count, so a corrupted list is reported, not followed. Must
+  // not run concurrently with calls.
+  void AuditAStacks(bool quiescent, std::vector<std::string>& found) const;
+
  private:
   friend class ServerFrame;
   // The async ring (src/lrpc/async_call.h) drives batches of calls through
@@ -249,9 +258,8 @@ class LrpcRuntime {
     const ProcedureDescriptor* pd = nullptr;
     Domain* client = nullptr;
     AStackRef astack;
-    // The free structure the A-stack was popped from, and returns to.
-    ParFreeList* par_list = nullptr;
-    AStackQueue* queue = nullptr;
+    // The free list the A-stack was popped from, and returns to.
+    ParFreeList* free_list = nullptr;
     std::vector<std::uint64_t> oob;  // This call's out-of-band segments.
     int estack = -1;                 // Associated by the kernel call leg.
     // The server process died before it accepted the call: the handler
@@ -319,6 +327,8 @@ class LrpcRuntime {
   // Client stub, return half, after the transfer back into the client:
   // unmarshal, release, requeue. Returns the call's status.
   Status ClientReturnHalf(Processor& cpu, CallSlot& slot);
+  // The status a call whose handler ran ends with, given the handler's.
+  static Status StatusAfterHandler(const Status& handler_status);
 
   // Releases the call's out-of-band segments and, when `requeue`, hands the
   // A-stack back to the free structure it was popped from.

@@ -28,6 +28,12 @@ ParWorld::ParWorld(ParWorldOptions options) : options_(options) {
   kernel_ = std::make_unique<Kernel>(*machine_);
   kernel_->set_domain_caching(options_.domain_caching);
   runtime_ = std::make_unique<LrpcRuntime>(*kernel_, options_.backend);
+  if (options_.backend == RuntimeBackend::kParallelHost) {
+    // Before the imports: it fixes the free lists' lock discipline.
+    par_ = std::make_unique<ParallelMachine>(
+        *runtime_, ParallelOptions{.workers = options_.workers,
+                                   .lock_free = options_.lock_free});
+  }
 
   // Parallel mode never grows the E-stack pool on demand from concurrent
   // callers, so the server's budget must cover every A-stack that could be
@@ -67,33 +73,17 @@ ParWorld::ParWorld(ParWorldOptions options) : options_(options) {
     kernel_->thread(t).set_current_domain(dom);
   }
 
-  if (options_.backend == RuntimeBackend::kParallelHost) {
-    ParallelOptions par_options;
-    par_options.workers = options_.workers;
-    par_options.lock_free = options_.lock_free;
-    par_ = std::make_unique<ParallelMachine>(*runtime_, par_options);
-    par_->AdoptWorld();
-    for (int p = 0; p < options_.parked; ++p) {
-      par_->ParkIdle(options_.workers + p, server_);
-    }
-  } else {
-    for (int p = 0; p < options_.parked; ++p) {
-      kernel_->ParkIdleProcessor(machine_->processor(options_.workers + p),
-                                 server_);
-    }
+  for (int p = 0; p < options_.parked; ++p) {
+    kernel_->ParkIdleProcessor(machine_->processor(options_.workers + p),
+                               server_);
   }
 }
 
 Status ParWorld::Dispatch(int w, ClientBinding& binding, int procedure,
                           std::span<const CallArg> args,
                           std::span<const CallRet> rets, CallStats* stats) {
-  CallStats local;
-  CallStats& cs = stats != nullptr ? *stats : local;
-  if (par_ != nullptr) {
-    return par_->Call(w, worker_thread(w), binding, procedure, args, rets, cs);
-  }
   return runtime_->Call(machine_->processor(w), worker_thread(w), binding,
-                        procedure, args, rets, &cs);
+                        procedure, args, rets, stats);
 }
 
 Status ParWorld::CallNull(int w, CallStats* stats) {

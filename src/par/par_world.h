@@ -71,9 +71,8 @@ class ParWorld {
   int bigin_proc() const { return bigin_proc_; }
   int biginout_proc() const { return biginout_proc_; }
 
-  // --- Per-worker callers (worker w's processor, thread and binding).
-  // Route through ParallelMachine::Call on the parallel backend,
-  // LrpcRuntime::Call otherwise. ---
+  // --- Per-worker callers (worker w's processor, thread and binding),
+  // through LrpcRuntime::Call on either backend. ---
   Status CallNull(int w, CallStats* stats = nullptr);
   Status CallAdd(int w, std::int32_t a, std::int32_t b, std::int32_t* sum,
                  CallStats* stats = nullptr);

@@ -1,22 +1,21 @@
 // ParallelMachine: the real-thread execution engine (docs/concurrency.md).
 //
-// Maps each simulated Processor onto a dedicated std::thread and re-routes
-// the shared structures on the LRPC critical path through their
-// host-concurrent re-implementations:
+// Maps each simulated Processor onto a dedicated std::thread. Built on a
+// kParallelHost runtime before the world's first import, it fixes the two
+// host-concurrent structures on the LRPC critical path:
 //
-//   A-stack free lists   ParFreeList (Treiber stack, or the single-lock
-//                        baseline) installed per binding per group
+//   A-stack free lists   the lock discipline (Treiber stack, or the
+//                        single-lock baseline) of the ParFreeList Import
+//                        builds per binding per group
 //   idle processors      IdleProcessorRegistry, an atomic slot per cpu that
 //                        makes the Section 3.4 exchange a lock-free claim
 //
 // Binding validation needs no re-routing: the kernel's own table is a
 // seqlock table on every backend (src/kern/binding_table.h).
 //
-// The engine reuses the existing kernel call path: AdoptWorld() flips an
-// already-built world (domains, bindings, A-stacks) over to the concurrent
-// structures, and workers drive LrpcRuntime::Call on their own Processor.
-// The deterministic simulator stays the default backend and is untouched by
-// any of this.
+// Workers drive LrpcRuntime::Call on their own Processor; there is no
+// second call path. The deterministic simulator stays the default backend
+// and is untouched by any of this.
 
 #ifndef SRC_PAR_PARALLEL_MACHINE_H_
 #define SRC_PAR_PARALLEL_MACHINE_H_
@@ -24,9 +23,6 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <span>
-#include <string>
 #include <vector>
 
 #include "src/common/status.h"
@@ -46,28 +42,10 @@ struct ParallelOptions {
 
 class ParallelMachine {
  public:
+  // Fixes the lock discipline of the kernel's binding table and of every
+  // free list Import will build, and enables the lock-free idle registry.
+  // Single-threaded, before the world's first import.
   ParallelMachine(LrpcRuntime& runtime, ParallelOptions options);
-
-  // Flips the runtime's already-built world over to the concurrent
-  // structures: enables the lock-free idle registry, sets the kernel
-  // binding table's lock mode, and installs one ParFreeList per binding per
-  // A-stack group (seeded with the queue's current free set).
-  // Single-threaded; call once, after the world's imports and before any
-  // worker runs. Bindings are pinned to kFail exhaustion (growth would
-  // mutate the region list under concurrent readers). A binding imported
-  // later validates at once but keeps its simulated A-stack queue, so one
-  // worker at a time may call through it.
-  void AdoptWorld();
-
-  // Parks `cpu_index` idling in `domain`'s context and publishes it to the
-  // claim registry (the Section 3.4 idle-processor supply).
-  void ParkIdle(int cpu_index, DomainId domain);
-
-  // One LRPC on worker `w`'s processor. Valid on any thread, but each
-  // worker index must be driven by at most one host thread at a time.
-  Status Call(int w, ThreadId thread, ClientBinding& binding, int procedure,
-              std::span<const CallArg> args, std::span<const CallRet> rets,
-              CallStats& stats);
 
   struct RunReport {
     double seconds = 0.0;
@@ -84,24 +62,19 @@ class ParallelMachine {
   RunReport RunWorkers(std::chrono::milliseconds budget,
                        const std::function<Status(int)>& body);
 
-  // Post-run conservation audit (no concurrent operations may be in
-  // flight): every registered A-stack is free exactly once, none lost,
-  // none duplicated.
+  // Post-run conservation audit (no call may be outstanding):
+  // LrpcRuntime::AuditAStacks over every binding, where an A-stack still
+  // claimed counts as lost.
   Status AuditConservation() const;
 
-  const ParallelOptions& options() const { return options_; }
-  LrpcRuntime& runtime() { return runtime_; }
-  const std::vector<std::unique_ptr<ParFreeList>>& free_lists() const {
-    return free_lists_;
-  }
+  // Every binding's free lists, in import and group order.
+  std::vector<ParFreeList*> free_lists() const;
   // Sum of CAS retries across every free list (contention observability).
   std::uint64_t total_cas_retries() const;
 
  private:
   LrpcRuntime& runtime_;
   ParallelOptions options_;
-  std::vector<std::unique_ptr<ParFreeList>> free_lists_;
-  bool adopted_ = false;
 };
 
 }  // namespace lrpc

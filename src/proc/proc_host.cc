@@ -9,6 +9,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <new>
 
 #include "src/lrpc/interface.h"
@@ -48,6 +49,18 @@ bool ReadFullWithDeadline(int fd, void* buffer, std::size_t len,
     }
   }
   return true;
+}
+
+// The handler status a server process wrote into the shared channel, read
+// once. The server can write any value there; one that names no ErrorCode
+// reads as kCallFailed, since the handler ran but its status is unreadable.
+Status DecodeHandlerCode(std::int32_t code) {
+  if (code < 0 || code > std::numeric_limits<std::uint8_t>::max() ||
+      ErrorCodeName(static_cast<ErrorCode>(code)) == "kUnknown") {
+    return Status(ErrorCode::kCallFailed,
+                  "server wrote a handler status that names no error code");
+  }
+  return Status(static_cast<ErrorCode>(code));
 }
 
 }  // namespace
@@ -406,7 +419,7 @@ Status ProcHost::Execute(DomainId server, DomainId client, int procedure,
       if (window_len > 0) {
         std::memcpy(window, ch->payload, window_len);
       }
-      *handler_status = Status(static_cast<ErrorCode>(ch->handler_code));
+      *handler_status = DecodeHandlerCode(ch->handler_code);
       if (kill_phase == KillPhase::kAfterReturn) {
         // The deliberate post-return death is synchronous (the child
         // SIGKILLed itself right after ringing); reap it now so the next
@@ -535,8 +548,7 @@ Status ProcHost::ExecuteBatch(DomainId server, DomainId client,
           std::memcpy(calls[i].window, entry.payload, calls[i].window_len);
         }
         calls[i].leg = Status::Ok();
-        calls[i].handler_status =
-            Status(static_cast<ErrorCode>(entry.handler_code));
+        calls[i].handler_status = DecodeHandlerCode(entry.handler_code);
       } else {
         calls[i].leg = Status(ErrorCode::kCallFailed, mid_detail);
       }
@@ -557,8 +569,7 @@ Status ProcHost::ExecuteBatch(DomainId server, DomainId client,
           std::memcpy(calls[i].window, entry.payload, calls[i].window_len);
         }
         calls[i].leg = Status::Ok();
-        calls[i].handler_status =
-            Status(static_cast<ErrorCode>(entry.handler_code));
+        calls[i].handler_status = DecodeHandlerCode(entry.handler_code);
       }
       if (kill_phase == KillPhase::kAfterReturn) {
         // Synchronous post-return death, reaped now (see Execute).

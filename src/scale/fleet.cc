@@ -43,6 +43,12 @@ FleetWorld::FleetWorld(FleetOptions options) : options_(options) {
   machine_ = std::make_unique<Machine>(options_.model, options_.workers);
   kernel_ = std::make_unique<Kernel>(*machine_, options_.seed);
   runtime_ = std::make_unique<LrpcRuntime>(*kernel_, options_.backend);
+  if (options_.backend == RuntimeBackend::kParallelHost) {
+    // Before the imports: it fixes the free lists' lock discipline.
+    par_ = std::make_unique<ParallelMachine>(
+        *runtime_, ParallelOptions{.workers = options_.workers,
+                                   .lock_free = options_.lock_free});
+  }
 
   const int servers = options_.server_domains;
   const int clients = options_.client_domains;
@@ -185,13 +191,6 @@ FleetWorld::FleetWorld(FleetOptions options) : options_(options) {
   machine_->processor(0).LoadContext(
       kernel_->domain(clients_[0]).vm_context());
 
-  if (options_.backend == RuntimeBackend::kParallelHost) {
-    ParallelOptions par_options;
-    par_options.workers = options_.workers;
-    par_options.lock_free = options_.lock_free;
-    par_ = std::make_unique<ParallelMachine>(*runtime_, par_options);
-    par_->AdoptWorld();
-  }
 }
 
 Status FleetWorld::Dispatch(int w, int binding_index, CallClass c,
@@ -212,9 +211,6 @@ Status FleetWorld::Dispatch(int w, int binding_index, CallClass c,
   const ThreadId thread =
       binding_threads_[static_cast<std::size_t>(binding_index)];
   CallStats stats;
-  if (par_ != nullptr) {
-    return par_->Call(w, thread, binding, procs_[ci], args, ret_span, stats);
-  }
   return runtime_->Call(machine_->processor(w), thread, binding, procs_[ci],
                         args, ret_span, &stats);
 }

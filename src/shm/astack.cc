@@ -39,28 +39,4 @@ void AStackRegion::InvalidateAllLinkages() {
   }
 }
 
-void AStackQueue::Push(Processor& cpu, AStackRef ref,
-                       SimDuration charge_while_held) {
-  LRPC_DCHECK(ref.valid());
-  SimLockGuard guard(lock_, cpu);
-  if (charge_while_held > 0) {
-    cpu.Charge(CostCategory::kClientStub, charge_while_held);
-  }
-  stacks_.push_back(ref);
-}
-
-Result<AStackRef> AStackQueue::Pop(Processor& cpu,
-                                   SimDuration charge_while_held) {
-  SimLockGuard guard(lock_, cpu);
-  if (charge_while_held > 0) {
-    cpu.Charge(CostCategory::kClientStub, charge_while_held);
-  }
-  if (stacks_.empty()) {
-    return Status(ErrorCode::kAStacksExhausted);
-  }
-  const AStackRef ref = stacks_.back();
-  stacks_.pop_back();
-  return ref;
-}
-
 }  // namespace lrpc

@@ -24,7 +24,6 @@
 #include "src/common/ids.h"
 #include "src/common/status.h"
 #include "src/shm/segment.h"
-#include "src/sim/sim_lock.h"
 #include "src/sim/time.h"
 
 namespace lrpc {
@@ -163,36 +162,6 @@ struct AStackRef {
   friend bool operator==(const AStackRef& a, const AStackRef& b) {
     return a.region == b.region && a.index == b.index;
   }
-};
-
-// The client-side free list for one procedure (or A-stack-sharing group):
-// a LIFO guarded by its own lock, so that queueing operations on different
-// interfaces never contend (Section 3.4).
-class AStackQueue {
- public:
-  explicit AStackQueue(std::string name) : lock_(std::move(name)) {}
-
-  // Pushes a free A-stack (bind time, or call return). `charge_while_held`
-  // is the queueing work performed inside the critical section (part of the
-  // stub cost; it determines the lock's hold time and therefore contention,
-  // Section 3.4).
-  void Push(Processor& cpu, AStackRef ref, SimDuration charge_while_held = 0);
-
-  // Pops the most recently used A-stack. Returns kAStacksExhausted when the
-  // queue is empty: the caller then decides to wait or allocate more
-  // (Section 5.2).
-  Result<AStackRef> Pop(Processor& cpu, SimDuration charge_while_held = 0);
-
-  std::size_t size() const { return stacks_.size(); }
-  SimLock& lock() { return lock_; }
-
-  // Checker-facing view of the free list (no lock, no charge): used by the
-  // invariant checker's A-stack conservation audit.
-  const std::vector<AStackRef>& entries() const { return stacks_; }
-
- private:
-  SimLock lock_;
-  std::vector<AStackRef> stacks_;
 };
 
 }  // namespace lrpc

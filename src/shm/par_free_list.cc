@@ -1,6 +1,10 @@
 #include "src/shm/par_free_list.h"
 
+#include <algorithm>
+#include <optional>
+
 #include "src/common/check.h"
+#include "src/sim/machine.h"
 
 namespace lrpc {
 
@@ -26,45 +30,57 @@ void Backoff(int& pauses) {
   }
 }
 
+// The simulator's lock is taken on a simulating machine only; a host
+// machine (Machine::simulates_costs false) charges without it.
+bool Simulates(const Processor& cpu) {
+  return cpu.machine() == nullptr || cpu.machine()->simulates_costs();
+}
+
+void ChargeHeld(Processor& cpu, SimDuration charge) {
+  if (charge > 0) {
+    cpu.Charge(CostCategory::kClientStub, charge);
+  }
+}
+
 }  // namespace
 
-ParFreeList::ParFreeList(std::string name, bool lock_free, int capacity)
-    : name_(std::move(name)), lock_free_(lock_free), capacity_(capacity) {
-  LRPC_CHECK(capacity > 0);
-  slots_.reserve(static_cast<std::size_t>(capacity));
-  next_ = std::make_unique<std::atomic<std::int32_t>[]>(
-      static_cast<std::size_t>(capacity));
-  for (int i = 0; i < capacity; ++i) {
-    next_[static_cast<std::size_t>(i)].store(kEmpty,
-                                             // LRPC_MO(setup-single-thread)
-                                             std::memory_order_relaxed);
-  }
-  MutexLock guard(mutex_);
-  free_ids_.reserve(static_cast<std::size_t>(capacity));
-}
+ParFreeList::ParFreeList(std::string name, bool lock_free)
+    : lock_free_(lock_free), sim_lock_(std::move(name)) {}
 
 void ParFreeList::Register(AStackRef ref) {
   LRPC_CHECK(ref.valid());
-  LRPC_CHECK(registered() < capacity_);
   const auto id = static_cast<std::int32_t>(slots_.size());
+  if (slots_.size() == next_capacity_) {
+    // Single-threaded, so the links may move to a larger array.
+    const std::size_t capacity = std::max<std::size_t>(8, 2 * next_capacity_);
+    auto next = std::make_unique<std::atomic<std::int32_t>[]>(capacity);
+    for (std::size_t i = 0; i < next_capacity_; ++i) {
+      // LRPC_MO(setup-single-thread)
+      const std::int32_t link = next_[i].load(std::memory_order_relaxed);
+      // LRPC_MO(setup-single-thread)
+      next[i].store(link, std::memory_order_relaxed);
+    }
+    next_ = std::move(next);
+    next_capacity_ = capacity;
+  }
   if (bases_.empty() || bases_.back().region != ref.region) {
     bases_.push_back({ref.region, id - ref.index});
   }
   LRPC_CHECK(NodeOf(ref) == id);
   slots_.push_back(ref);
-  // Single-threaded setup: seed the free set through the normal paths so
-  // the initial head chain is exactly what a sequence of pushes builds.
-  if (lock_free_) {
-    // LRPC_MO(setup-single-thread)
-    const std::uint64_t head = head_.load(std::memory_order_relaxed);
-    next_[static_cast<std::size_t>(id)].store(UnpackIndex(head),
-                                              // LRPC_MO(setup-single-thread)
-                                              std::memory_order_relaxed);
-    // LRPC_MO(setup-single-thread)
-    head_.store(Pack(UnpackTag(head) + 1, id), std::memory_order_relaxed);
-  } else {
-    MutexLock guard(mutex_);
-    free_ids_.push_back(id);
+  PushNode(id);
+}
+
+// On a simulating machine each operation acquires the group's lock,
+// charges, operates and releases, so the charge is the lock's hold time
+// (Section 3.4, Figure 2).
+void ParFreeList::AddRegion(Processor& cpu, AStackRegion* region) {
+  std::optional<SimLockGuard> held;
+  if (Simulates(cpu)) {
+    held.emplace(sim_lock_, cpu);
+  }
+  for (int i = 0; i < region->count(); ++i) {
+    Register(AStackRef{region, i});
   }
 }
 
@@ -79,9 +95,27 @@ std::int32_t ParFreeList::NodeOf(AStackRef ref) const {
 
 Result<AStackRef> ParFreeList::Pop(Processor& cpu,
                                    SimDuration charge_while_held) {
-  if (charge_while_held > 0) {
-    cpu.Charge(CostCategory::kClientStub, charge_while_held);
+  std::optional<SimLockGuard> held;
+  if (Simulates(cpu)) {
+    held.emplace(sim_lock_, cpu);
   }
+  ChargeHeld(cpu, charge_while_held);
+  return PopNode();
+}
+
+void ParFreeList::Push(Processor& cpu, AStackRef ref,
+                       SimDuration charge_while_held) {
+  std::optional<SimLockGuard> held;
+  if (Simulates(cpu)) {
+    held.emplace(sim_lock_, cpu);
+  }
+  ChargeHeld(cpu, charge_while_held);
+  const std::int32_t id = NodeOf(ref);
+  LRPC_CHECK(id >= 0 && id < registered());
+  PushNode(id);
+}
+
+Result<AStackRef> ParFreeList::PopNode() {
   if (lock_free_) {
     std::uint64_t head = head_.load(std::memory_order_acquire);
     for (int pauses = 1;; Backoff(pauses)) {
@@ -121,13 +155,7 @@ Result<AStackRef> ParFreeList::Pop(Processor& cpu,
   return slots_[static_cast<std::size_t>(id)];
 }
 
-void ParFreeList::Push(Processor& cpu, AStackRef ref,
-                       SimDuration charge_while_held) {
-  if (charge_while_held > 0) {
-    cpu.Charge(CostCategory::kClientStub, charge_while_held);
-  }
-  const std::int32_t id = NodeOf(ref);
-  LRPC_CHECK(id >= 0 && id < registered());
+void ParFreeList::PushNode(std::int32_t id) {
   if (lock_free_) {
     // LRPC_MO(cas-seed)
     std::uint64_t head = head_.load(std::memory_order_relaxed);
@@ -153,9 +181,10 @@ void ParFreeList::Push(Processor& cpu, AStackRef ref,
 
 std::vector<AStackRef> ParFreeList::Snapshot() const {
   std::vector<AStackRef> out;
+  const std::size_t bound = slots_.size() + 1;
   if (lock_free_) {
     std::int32_t index = UnpackIndex(head_.load(std::memory_order_acquire));
-    while (index >= 0) {
+    while (index >= 0 && out.size() < bound) {
       out.push_back(slots_[static_cast<std::size_t>(index)]);
       index = next_[static_cast<std::size_t>(index)].load(
           std::memory_order_relaxed);  // LRPC_MO(quiescent-audit)

@@ -1,19 +1,25 @@
-// Host-parallel A-stack free lists (the real-thread engine's contended
-// structure; docs/concurrency.md).
+// The A-stack free list: one per A-stack group of every binding, on every
+// backend (docs/concurrency.md).
 //
 // The paper guards each per-interface A-stack free list with "a single lock"
 // and argues that the fine granularity is what lets call throughput scale
-// with processors (Sections 3.3, 3.4). Under the real-thread engine the free
-// list is popped and pushed by concurrent host threads on every call and
-// return, so it is implemented twice over the same fixed node set:
+// with processors (Sections 3.3, 3.4). Import builds one list per group and
+// §5.2 growth adds regions to it. On the real-thread engine the list is
+// popped and pushed by concurrent host threads on every call and return, so
+// it is implemented twice over one node set, the discipline fixed when the
+// list is built:
 //
 //   lock-free  a Treiber stack whose 64-bit head packs {tag:32, index:32};
 //              the tag advances on every successful exchange, so a node that
 //              is popped and pushed back between a rival's head load and its
 //              compare-exchange cannot make the rival's stale next pointer
 //              win (the ABA case)
-//   locked     the paper's single-lock baseline, kept behind a flag as the
-//              contention reference for bench_mt_throughput
+//   locked     the paper's single-lock baseline, the contention reference
+//              for bench_mt_throughput
+//
+// On a machine that simulates costs, every pop, push and registration also
+// takes the group's SimLock around its charge, so the simulated lock's hold
+// time and contention are the paper's (Figure 2). Host machines skip it.
 //
 // Ownership transfer is the synchronization: a successful pop acquires
 // everything the previous owner released with its push. That edge is why the
@@ -21,8 +27,9 @@
 // atomics of their own — exactly one thread owns them between a pop and the
 // matching push.
 //
-// Nodes are registered once, single-threaded, before the first concurrent
-// operation, and are never freed; the list only recirculates them.
+// Nodes are registered single-threaded (bind time, and growth on the
+// single-threaded backends) and are never freed; the list only recirculates
+// them.
 
 #ifndef SRC_SHM_PAR_FREE_LIST_H_
 #define SRC_SHM_PAR_FREE_LIST_H_
@@ -38,35 +45,35 @@
 #include "src/common/thread_annotations.h"
 #include "src/shm/astack.h"
 #include "src/sim/processor.h"
+#include "src/sim/sim_lock.h"
 
 namespace lrpc {
 
 class ParFreeList {
  public:
-  // `capacity` bounds Register calls; the node array is sized once so no
-  // operation ever reallocates shared storage.
-  ParFreeList(std::string name, bool lock_free, int capacity);
+  ParFreeList(std::string name, bool lock_free);
 
-  // Setup, single-threaded: registers `ref` as the next node and places it
-  // on the free list. Registration must follow each region's index order
-  // (the order Import fills AStackQueue), so single-thread pops agree with
-  // the simulated queue's LIFO discipline.
+  // Single-threaded: registers `ref` as the next node and places it on the
+  // free list. A region's nodes must be registered in index order.
   void Register(AStackRef ref);
+  // Single-threaded: registers every A-stack of `region` in index order, as
+  // one push under the simulator's lock (bind time and Section 5.2 growth).
+  void AddRegion(Processor& cpu, AStackRegion* region);
 
-  // Pops the most recently pushed A-stack, or kAStacksExhausted. The charge
-  // mirrors AStackQueue::Pop so the cost ledger keeps its Table 5 shape.
+  // Pops the most recently pushed A-stack, or kAStacksExhausted.
+  // `charge_while_held` is the queueing work done inside the critical
+  // section: it is the simulated lock's hold time (Section 3.4).
   Result<AStackRef> Pop(Processor& cpu, SimDuration charge_while_held = 0);
   void Push(Processor& cpu, AStackRef ref, SimDuration charge_while_held = 0);
 
-  bool lock_free() const { return lock_free_; }
-  const std::string& name() const { return name_; }
-  int capacity() const { return capacity_; }
   int registered() const { return static_cast<int>(slots_.size()); }
-  // Every node ever registered, in registration order (conservation audits).
-  const std::vector<AStackRef>& nodes() const { return slots_; }
+  // The simulator's lock (its statistics; never taken on a host machine).
+  const SimLock& sim_lock() const { return sim_lock_; }
 
-  // The free set right now. Only meaningful when no concurrent operations
-  // are in flight (post-run audits).
+  // The free set right now, most recently pushed first. Only meaningful
+  // when no concurrent operations are in flight (audits). The walk stops
+  // after registered() + 1 nodes, so a corrupted (cyclic) list comes back
+  // longer than it can be instead of hanging the caller.
   std::vector<AStackRef> Snapshot() const;
 
   // Lost head exchanges (relaxed; approximate while threads run).
@@ -96,13 +103,15 @@ class ParFreeList {
   }
 
   std::int32_t NodeOf(AStackRef ref) const;
+  // The free-set operations proper, outside the simulator's lock.
+  Result<AStackRef> PopNode();
+  void PushNode(std::int32_t id);
 
-  std::string name_;
   bool lock_free_;
-  int capacity_;
-  std::vector<AStackRef> slots_;  // Node id -> A-stack; fixed after setup.
+  SimLock sim_lock_;
+  std::vector<AStackRef> slots_;  // Node id -> A-stack; grows single-threaded.
   // Region -> id of its first node; regions register their nodes in index
-  // order, so NodeOf is base + index. Read-only after setup.
+  // order, so NodeOf is base + index.
   struct RegionBase {
     const AStackRegion* region;
     std::int32_t base;
@@ -115,7 +124,10 @@ class ParFreeList {
   // forced the next rival's compare-exchange to re-fetch the line
   // (docs/fast_path.md).
   LRPC_CACHELINE_ALIGNED std::atomic<std::uint64_t> head_{Pack(0, kEmpty)};
+  // Next links, one per node; reallocated (single-threaded) when a
+  // registration outgrows it.
   std::unique_ptr<std::atomic<std::int32_t>[]> next_;
+  std::size_t next_capacity_ = 0;
 
   // Locked-baseline state.
   mutable Mutex mutex_;

@@ -155,34 +155,46 @@ TEST_P(BindingCacheTest, ObservedRevocationIsNeverStaleAcrossThreads) {
       table->Create(kClient, kServer, InterfaceId{0}, nullptr, false));
 
   std::atomic<bool> revoked_flag{false};
+  std::atomic<bool> validated_before_flag{false};
   std::atomic<std::uint64_t> violations{0};
-  std::atomic<std::uint64_t> pre_flag_successes{0};
+  std::atomic<bool> validated_after_flag{false};
+  // A hang guard only: each thread waits on the other's progress, never on
+  // a timer, so the schedule cannot decide the outcome.
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
 
   std::thread observer([&] {
-    for (int i = 0; i < 200000; ++i) {
+    while (std::chrono::steady_clock::now() < give_up) {
       const bool observed = revoked_flag.load(std::memory_order_acquire);
       Result<BindingRecord*> result = table->ValidateCached(object, kClient);
       if (observed) {
         if (result.ok()) {
           violations.fetch_add(1, std::memory_order_relaxed);
-        } else {
-          break;  // Property held on the first post-flag validation.
         }
-      } else if (result.ok()) {
-        pre_flag_successes.fetch_add(1, std::memory_order_relaxed);
+        validated_after_flag.store(true, std::memory_order_relaxed);
+        return;
+      }
+      if (result.ok()) {
+        // The cache now holds the live binding: the revocation must
+        // invalidate a cached entry, not an empty slot.
+        validated_before_flag.store(true, std::memory_order_release);
       }
     }
   });
   std::thread revoker([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    while (!validated_before_flag.load(std::memory_order_acquire) &&
+           std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::yield();
+    }
     table->RevokeForDomain(kServer);
     revoked_flag.store(true, std::memory_order_release);
   });
   observer.join();
   revoker.join();
 
+  EXPECT_TRUE(validated_before_flag.load());
+  EXPECT_TRUE(validated_after_flag.load());
   EXPECT_EQ(violations.load(), 0u);
-  EXPECT_GT(pre_flag_successes.load(), 0u);
 }
 
 TEST_P(BindingCacheTest, SeededChaosRevocationScheduleNeverServesStale) {

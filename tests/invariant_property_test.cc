@@ -156,6 +156,19 @@ TEST(InvariantProperty, CheckerDetectsTamperedState) {
   EXPECT_GT(checker.violation_count(), before);
   t.PopLinkage();
   t.PopLinkage();
+
+  // Pushing a free A-stack a second time points its node at itself: the
+  // lock-free list is now a cycle. The audit's walk is bounded by the
+  // registered count, so it reports the corruption instead of hanging.
+  ParFreeList& list = bed.binding().free_list(0);
+  Result<AStackRef> popped = list.Pop(bed.cpu(0));
+  ASSERT_TRUE(popped.ok());
+  list.Push(bed.cpu(0), *popped);
+  list.Push(bed.cpu(0), *popped);
+  const std::uint64_t before_cycle = checker.violation_count();
+  checker.CheckNow("cyclic free list");
+  EXPECT_GT(checker.violation_count(), before_cycle);
+  EXPECT_GT(static_cast<int>(list.Snapshot().size()), list.registered());
 }
 
 }  // namespace

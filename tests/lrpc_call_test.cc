@@ -273,11 +273,13 @@ TEST(LrpcSafety, ForgedBindingRejected) {
                                      bed.binding().object().nonce ^ 0xbad,
                                      false},
                        bed.interface_spec(), bed.binding().record());
-  forged.AddQueue(std::make_unique<AStackQueue>("forged"));
-  // Reuse a real A-stack ref so the stub-level pop succeeds.
-  auto real = bed.binding().queue(0).Pop(bed.cpu(0));
+  // Move a real A-stack to the forged binding's list so the stub-level pop
+  // succeeds.
+  auto real = bed.binding().free_list(0).Pop(bed.cpu(0));
   ASSERT_TRUE(real.ok());
-  forged.queue(0).Push(bed.cpu(0), *real);
+  auto list = std::make_unique<ParFreeList>("forged", /*lock_free=*/true);
+  list->Register(*real);
+  forged.AddFreeList(std::move(list));
 
   EXPECT_EQ(bed.runtime()
                 .Call(bed.cpu(0), bed.client_thread(), forged, bed.null_proc(),
@@ -358,11 +360,11 @@ TEST(LrpcSafety, TypeCheckFoldedIntoCopyRejectsBadValue) {
 TEST(LrpcAStacks, ExhaustionFailsWhenPolicyIsFail) {
   Testbed bed;
   bed.binding().set_exhaustion_policy(AStackExhaustionPolicy::kFail);
-  // Drain the queue for group 0 (Null's group).
+  // Drain the free list for group 0 (Null's group).
   const int group = bed.interface_spec()->pd(bed.null_proc()).astack_group;
   std::vector<AStackRef> drained;
   while (true) {
-    auto r = bed.binding().queue(group).Pop(bed.cpu(0));
+    auto r = bed.binding().free_list(group).Pop(bed.cpu(0));
     if (!r.ok()) {
       break;
     }
@@ -370,7 +372,7 @@ TEST(LrpcAStacks, ExhaustionFailsWhenPolicyIsFail) {
   }
   EXPECT_EQ(bed.CallNull().code(), ErrorCode::kAStacksExhausted);
   for (const auto& ref : drained) {
-    bed.binding().queue(group).Push(bed.cpu(0), ref);
+    bed.binding().free_list(group).Push(bed.cpu(0), ref);
   }
   EXPECT_TRUE(bed.CallNull().ok());
 }
@@ -382,7 +384,7 @@ TEST(LrpcAStacks, ExhaustionGrowsSecondaryRegionWhenAllowed) {
   const int before = bed.binding().allocated_astacks();
   std::vector<AStackRef> drained;
   while (true) {
-    auto r = bed.binding().queue(group).Pop(bed.cpu(0));
+    auto r = bed.binding().free_list(group).Pop(bed.cpu(0));
     if (!r.ok()) {
       break;
     }
@@ -399,7 +401,7 @@ TEST(LrpcAStacks, SecondaryAStacksValidateSlower) {
   const int group = bed.interface_spec()->pd(bed.null_proc()).astack_group;
   std::vector<AStackRef> drained;
   while (true) {
-    auto r = bed.binding().queue(group).Pop(bed.cpu(0));
+    auto r = bed.binding().free_list(group).Pop(bed.cpu(0));
     if (!r.ok()) {
       break;
     }

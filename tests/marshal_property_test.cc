@@ -142,7 +142,7 @@ TEST_P(MarshalPropertyTest, RoundTripFidelityAndNoResidue) {
     }
 
     Thread& thread = bed.kernel().thread(bed.client_thread());
-    const std::size_t queue_sizes_before = (*binding)->queue(0).size();
+    const std::size_t free_before = (*binding)->free_list(0).Snapshot().size();
 
     CallStats stats;
     const Status status = bed.runtime().Call(bed.cpu(0), bed.client_thread(),
@@ -167,9 +167,9 @@ TEST_P(MarshalPropertyTest, RoundTripFidelityAndNoResidue) {
       ++rb;
     }
 
-    // No residue: the A-stack is back on its queue, no linkage is in use,
+    // No residue: the A-stack is back on its free list, no linkage is in use,
     // the thread's linkage stack is empty, and the thread is home.
-    EXPECT_EQ((*binding)->queue(0).size(), queue_sizes_before);
+    EXPECT_EQ((*binding)->free_list(0).Snapshot().size(), free_before);
     for (const auto& region : (*binding)->record()->regions) {
       for (int i = 0; i < region->count(); ++i) {
         EXPECT_FALSE(region->linkage(i).in_use);

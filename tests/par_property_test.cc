@@ -37,8 +37,8 @@ TEST(ParFreeListProperty, SeededSequencesMatchReferenceLifo) {
     AStackRegion region(DomainId{0}, DomainId{1}, 128, count,
                         /*secondary=*/false);
 
-    ParFreeList lock_free("prop.lf", /*lock_free=*/true, count);
-    ParFreeList locked("prop.lk", /*lock_free=*/false, count);
+    ParFreeList lock_free("prop.lf", /*lock_free=*/true);
+    ParFreeList locked("prop.lk", /*lock_free=*/false);
     std::vector<AStackRef> model;  // Reference LIFO (back = top).
     for (int i = 0; i < count; ++i) {
       lock_free.Register(AStackRef{&region, i});
@@ -94,12 +94,16 @@ TEST(ParFreeListProperty, SeededSequencesMatchReferenceLifo) {
 
 TEST(ParFreeListProperty, ConcurrentPopsNeverDoubleClaim) {
   // 4 threads race to pop every node; ownership must partition the set.
+  // The machine runs the parallel-host backend: a simulating one would take
+  // the group's SimLock, which only one thread may drive.
   Machine machine(MachineModel::CVaxFirefly(), 4);
+  Kernel kernel(machine);
+  const LrpcRuntime host(kernel, RuntimeBackend::kParallelHost);
   constexpr int kNodes = 64;
   constexpr int kThreads = 4;
   AStackRegion region(DomainId{0}, DomainId{1}, 64, kNodes,
                       /*secondary=*/false);
-  ParFreeList list("prop.race", /*lock_free=*/true, kNodes);
+  ParFreeList list("prop.race", /*lock_free=*/true);
   for (int i = 0; i < kNodes; ++i) {
     list.Register(AStackRef{&region, i});
   }

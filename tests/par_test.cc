@@ -1,11 +1,14 @@
 // Unit tests for the real-thread engine's building blocks: the lock-free
 // (and locked-baseline) A-stack free lists, the idle-processor claim
-// registry, the kernel binding table's two lock modes, and the
-// ParallelMachine facade over an adopted world (docs/concurrency.md).
+// registry, the kernel binding table's two lock modes, and ParWorld, built
+// around a ParallelMachine (docs/concurrency.md).
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
+#include <thread>
+#include <vector>
 
 #include "src/kern/binding_table.h"
 #include "src/lrpc/testbed.h"
@@ -23,7 +26,7 @@ TEST_P(ParFreeListTest, PopsInLifoOrderAndReportsExhaustion) {
   Machine machine(MachineModel::CVaxFirefly(), 1);
   Processor& cpu = machine.processor(0);
   AStackRegion region(DomainId{0}, DomainId{1}, 256, 3, /*secondary=*/false);
-  ParFreeList list("test.group0", /*lock_free=*/GetParam(), /*capacity=*/3);
+  ParFreeList list("test.group0", /*lock_free=*/GetParam());
   for (int i = 0; i < 3; ++i) {
     list.Register(AStackRef{&region, i});
   }
@@ -58,7 +61,7 @@ TEST_P(ParFreeListTest, SnapshotIsTheFreeSet) {
   Machine machine(MachineModel::CVaxFirefly(), 1);
   Processor& cpu = machine.processor(0);
   AStackRegion region(DomainId{0}, DomainId{1}, 256, 4, /*secondary=*/false);
-  ParFreeList list("test.snapshot", GetParam(), 4);
+  ParFreeList list("test.snapshot", GetParam());
   for (int i = 0; i < 4; ++i) {
     list.Register(AStackRef{&region, i});
   }
@@ -83,7 +86,7 @@ TEST(ParFreeListAba, HeadTagAdvancesOnEveryExchange) {
   Machine machine(MachineModel::CVaxFirefly(), 1);
   Processor& cpu = machine.processor(0);
   AStackRegion region(DomainId{0}, DomainId{1}, 256, 2, /*secondary=*/false);
-  ParFreeList list("test.aba", /*lock_free=*/true, 2);
+  ParFreeList list("test.aba", /*lock_free=*/true);
   list.Register(AStackRef{&region, 0});
   list.Register(AStackRef{&region, 1});
 
@@ -183,6 +186,10 @@ TEST(ParWorldTest, SingleWorkerCallsComputeCorrectResults) {
   }
   EXPECT_EQ(world.server_calls_seen(), 3u);
   EXPECT_TRUE(world.par()->AuditConservation().ok());
+  // A host machine never takes the simulator's free-list lock.
+  for (ParFreeList* list : world.par()->free_lists()) {
+    EXPECT_EQ(list->sim_lock().acquisitions(), 0u);
+  }
 }
 
 // Terminating a domain revokes its bindings in the kernel's table (Section
@@ -207,24 +214,50 @@ TEST(ParWorldTest, TerminatedServerRejectsCallsOnEveryBackend) {
   }
 }
 
-// A binding created after AdoptWorld (a supervised rebind, say) lands in
-// the same table the call leg validates against.
-TEST(ParWorldTest, BindingImportedAfterAdoptWorldIsCallable) {
+// A binding imported after the world is built (a supervised rebind, say)
+// gets its free lists from Import, under the world's lock discipline, so
+// four workers may call through it at once.
+TEST(ParWorldTest, BindingImportedAfterTheWorldTakesConcurrentCalls) {
+  constexpr int kWorkers = 4;
+  constexpr int kCallsPerWorker = 2000;
   ParWorldOptions options;
-  options.workers = 1;
+  options.workers = kWorkers;
   ParWorld world(options);
   ASSERT_NE(world.par(), nullptr);
 
   Result<ClientBinding*> late = world.runtime().Import(
       world.machine().processor(0), world.client_domain(0), "par.Measures");
   ASSERT_TRUE(late.ok());
-  CallStats stats;
-  EXPECT_EQ(world.par()
-                ->Call(0, world.worker_thread(0), **late, world.null_proc(),
-                       {}, {}, stats)
-                .code(),
-            ErrorCode::kOk);
-  EXPECT_EQ(world.server_calls_seen(), 1u);
+  EXPECT_EQ((*late)->exhaustion_policy(), AStackExhaustionPolicy::kFail);
+
+  std::atomic<std::uint64_t> failures{0};
+  std::vector<std::thread> workers;
+  for (int w = 0; w < kWorkers; ++w) {
+    workers.emplace_back([&, w] {
+      for (int i = 0; i < kCallsPerWorker; ++i) {
+        const std::int32_t a = w * 100000 + i;
+        const std::int32_t b = i;
+        std::int32_t sum = 0;
+        const CallArg args[] = {CallArg::Of(a), CallArg::Of(b)};
+        const CallRet rets[] = {CallRet::Of(&sum)};
+        const Status status = world.runtime().Call(
+            world.machine().processor(w), world.worker_thread(w), **late,
+            world.add_proc(), args, rets);
+        // Eight A-stacks per group serve four callers: exhaustion would be
+        // a lost A-stack, not admission control.
+        if (!status.ok() || sum != a + b) {
+          failures.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  for (std::thread& t : workers) {
+    t.join();
+  }
+  EXPECT_EQ(failures.load(), 0u);
+  EXPECT_EQ(world.server_calls_seen(),
+            static_cast<std::uint64_t>(kWorkers) * kCallsPerWorker);
+  EXPECT_TRUE(world.par()->AuditConservation().ok());
 }
 
 TEST(ParWorldTest, ParkedProcessorMakesCallsExchange) {
@@ -271,12 +304,13 @@ TEST(ParWorldTest, ExhaustionFailsFastInsteadOfGrowing) {
   // report exhaustion, not allocate a growth region.
   const Interface* iface = binding.interface_spec();
   const int group = iface->pd(world.null_proc()).astack_group;
-  ParFreeList* list = binding.par_queue(group);
-  ASSERT_NE(list, nullptr);
-  Result<AStackRef> held = list->Pop(world.machine().processor(0));
+  ParFreeList& list = binding.free_list(group);
+  Result<AStackRef> held = list.Pop(world.machine().processor(0));
   ASSERT_TRUE(held.ok());
   EXPECT_EQ(world.CallNull(0).code(), ErrorCode::kAStacksExhausted);
-  list->Push(world.machine().processor(0), *held);
+  // One A-stack per group, and no growth region.
+  EXPECT_EQ(binding.allocated_astacks(), binding.free_list_count());
+  list.Push(world.machine().processor(0), *held);
   EXPECT_TRUE(world.CallNull(0).ok());
 }
 
@@ -289,6 +323,11 @@ TEST(ParWorldTest, DeterministicBackendStillWorksThroughParWorld) {
   std::int32_t sum = 0;
   EXPECT_TRUE(world.CallAdd(0, 1, 2, &sum).ok());
   EXPECT_EQ(sum, 3);
+  // The simulator takes the group's lock for the pop and the push.
+  ClientBinding& binding = world.worker_binding(0);
+  const int group =
+      binding.interface_spec()->pd(world.add_proc()).astack_group;
+  EXPECT_GE(binding.free_list(group).sim_lock().acquisitions(), 2u);
 }
 
 TEST(RuntimeBackendTest, TheBackendDecidesWhetherTheMachineSimulatesCosts) {

@@ -10,8 +10,10 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cstring>
 #include <memory>
+#include <new>
 #include <set>
 #include <string>
 #include <vector>
@@ -21,6 +23,7 @@
 #include "src/lrpc/chaos_testbed.h"
 #include "src/lrpc/supervised_call.h"
 #include "src/proc/proc_host.h"
+#include "src/proc/proc_segment.h"
 #include "src/proc/proc_world.h"
 
 namespace lrpc {
@@ -74,6 +77,99 @@ TEST(ProcBackendTest, AddCrossesTheChannelBothWays) {
   ASSERT_TRUE(world.CallAdd(-7, 7, &sum).ok());
   EXPECT_EQ(sum, 0);
   EXPECT_EQ(world.counters().calls.load(std::memory_order_acquire), 2u);
+
+  // A depth-16 ring outruns the bind-time A-stacks, so the binding grows
+  // secondary regions (Section 5.2) into its free lists, and every one of
+  // them is back on its list once the ring drains.
+  ClientBinding& binding = world.binding();
+  const int bind_time = binding.allocated_astacks();
+  EXPECT_EQ(bind_time, 10);
+  AsyncRing ring(world.runtime(), binding, world.client_thread(),
+                 /*depth=*/16);
+  std::int32_t lhs[16];
+  std::int32_t rhs[16];
+  std::int32_t sums[16] = {};
+  for (int i = 0; i < 16; ++i) {
+    lhs[i] = 1000 * i;
+    rhs[i] = -i;
+    const CallArg args[] = {CallArg::Of(lhs[i]), CallArg::Of(rhs[i])};
+    const CallRet rets[] = {CallRet::Of(&sums[i])};
+    ASSERT_TRUE(ring.Submit(world.cpu(), world.add_proc(), args, rets).ok());
+  }
+  ring.Drain(world.cpu());
+  ASSERT_EQ(ring.results().size(), 16u);
+  for (const AsyncCompletion& done : ring.results()) {
+    EXPECT_TRUE(done.status.ok()) << ErrorCodeName(done.status.code());
+  }
+  for (int i = 0; i < 16; ++i) {
+    EXPECT_EQ(sums[i], 999 * i);
+  }
+  EXPECT_EQ(world.counters().calls.load(std::memory_order_acquire), 18u);
+  EXPECT_GT(binding.allocated_astacks(), bind_time);
+
+  std::vector<std::string> found;
+  world.runtime().AuditAStacks(/*quiescent=*/true, found);
+  EXPECT_TRUE(found.empty()) << (found.empty() ? "" : found.front());
+  for (int group = 0; group < binding.free_list_count(); ++group) {
+    EXPECT_EQ(static_cast<int>(binding.free_list(group).Snapshot().size()),
+              binding.free_list(group).registered());
+  }
+}
+
+// A handler that ran may not report a retryable status: SupervisedCall
+// would read it as a failure before the server accepted the call and run
+// the handler again. The handler counts its runs in MAP_SHARED memory, so
+// a run in the forked server counts too.
+TEST(ProcBackendTest, RetryableStatusFromAHandlerThatRanIsNotRetried) {
+  for (const RuntimeBackend backend :
+       {RuntimeBackend::kDeterministicSim, RuntimeBackend::kMultiProcess}) {
+    const bool proc = backend == RuntimeBackend::kMultiProcess;
+    if (proc && !ProcHost::ForkPermitted()) {
+      continue;
+    }
+    SCOPED_TRACE(proc ? "proc" : "sim");
+    ProcSegment shared;
+    ASSERT_TRUE(shared.Map(sizeof(std::atomic<std::uint64_t>)).ok());
+    auto* runs = new (shared.data()) std::atomic<std::uint64_t>(0);
+
+    Machine machine(MachineModel::CVaxFirefly(), 1);
+    Kernel kernel(machine);
+    LrpcRuntime runtime(kernel, backend);
+    std::unique_ptr<ProcHost> host;  // After runtime: destroyed first.
+    if (proc) {
+      host = std::make_unique<ProcHost>(runtime);
+    }
+    const DomainId server = kernel.CreateDomain({.name = "claims.server"});
+    const DomainId client = kernel.CreateDomain({.name = "claims.client"});
+    Interface* iface = runtime.CreateInterface(server, "claims.PeerDied");
+    ProcedureDef def;
+    def.name = "ClaimsPeerDied";
+    def.handler = [runs](ServerFrame&) {
+      // LRPC_MO(stat-counter)
+      runs->fetch_add(1, std::memory_order_relaxed);
+      return Status(ErrorCode::kPeerDied);
+    };
+    const int procedure = iface->AddProcedure(std::move(def));
+    ASSERT_TRUE(runtime.Export(iface).ok());
+    if (proc) {
+      ASSERT_TRUE(host->SpawnServer(server, iface).ok());
+    }
+    Processor& cpu = machine.processor(0);
+    Result<ClientBinding*> binding =
+        runtime.Import(cpu, client, "claims.PeerDied");
+    ASSERT_TRUE(binding.ok());
+    const ThreadId thread = kernel.CreateThread(client);
+    cpu.LoadContext(kernel.domain(client).vm_context());
+    kernel.thread(thread).set_current_domain(client);
+
+    SupervisedCall supervisor(runtime, SupervisionPolicy{}, /*seed=*/7);
+    const SupervisionOutcome out =
+        supervisor.Call(cpu, thread, *binding, procedure, {}, {});
+    EXPECT_EQ(out.status.code(), ErrorCode::kCallFailed)
+        << ErrorCodeName(out.status.code());
+    EXPECT_EQ(out.attempts, 1);
+    EXPECT_EQ(runs->load(std::memory_order_acquire), 1u);
+  }
 }
 
 TEST(ProcBackendTest, BigInOutEchoesReversedThroughSharedMemory) {

@@ -85,10 +85,13 @@ TEST(ClerkAuthorization, RefusedClientCannotForgeItsWayIn) {
   Testbed bed;
   ClientBinding fake(bed.client_domain(), BindingObject{12345, 0x1234, false},
                      bed.interface_spec(), bed.binding().record());
-  fake.AddQueue(std::make_unique<AStackQueue>("fake"));
-  auto real = bed.binding().queue(0).Pop(bed.cpu(0));
+  // A real A-stack, moved to the fake binding's list, gets the stub-level
+  // pop past.
+  auto real = bed.binding().free_list(0).Pop(bed.cpu(0));
   ASSERT_TRUE(real.ok());
-  fake.queue(0).Push(bed.cpu(0), *real);
+  auto list = std::make_unique<ParFreeList>("fake", /*lock_free=*/true);
+  list->Register(*real);
+  fake.AddFreeList(std::move(list));
   EXPECT_EQ(bed.runtime()
                 .Call(bed.cpu(0), bed.client_thread(), fake, 0, {}, {})
                 .code(),

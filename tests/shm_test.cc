@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "src/shm/astack.h"
+#include "src/shm/par_free_list.h"
 #include "src/shm/segment.h"
 #include "src/sim/machine.h"
 
@@ -129,43 +130,65 @@ TEST(AStackRegionTest, EStackAssociationPersists) {
   EXPECT_EQ(region.estack_of(0), 7);
 }
 
-// --- AStackQueue ---
+// --- The A-stack free list on a simulated machine ---
 
-class AStackQueueTest : public ::testing::Test {
+class AStackFreeListTest : public ::testing::Test {
  protected:
-  AStackQueueTest()
+  AStackFreeListTest()
       : machine_(MachineModel::CVaxFirefly(), 1),
         region_(kClient, kServer, 128, 5, false),
-        queue_("test") {}
+        list_("test", /*lock_free=*/true) {}
 
   Machine machine_;
   AStackRegion region_;
-  AStackQueue queue_;
+  ParFreeList list_;
 };
 
-TEST_F(AStackQueueTest, LifoOrder) {
+TEST_F(AStackFreeListTest, LifoOrder) {
   Processor& cpu = machine_.processor(0);
-  queue_.Push(cpu, {&region_, 0});
-  queue_.Push(cpu, {&region_, 1});
-  queue_.Push(cpu, {&region_, 2});
+  for (int i = 0; i < 3; ++i) {
+    list_.Register({&region_, i});
+  }
+  for (int i = 2; i >= 0; --i) {
+    ASSERT_EQ(list_.Pop(cpu)->index, i);
+  }
+  list_.Push(cpu, {&region_, 0});
+  list_.Push(cpu, {&region_, 1});
+  list_.Push(cpu, {&region_, 2});
   // "The stub manages the A-stacks ... as a LIFO queue" (Section 3.2):
   // the most recently pushed comes back first (it is the one whose E-stack
   // association and cache lines are warm).
-  EXPECT_EQ(queue_.Pop(cpu)->index, 2);
-  EXPECT_EQ(queue_.Pop(cpu)->index, 1);
-  EXPECT_EQ(queue_.Pop(cpu)->index, 0);
+  EXPECT_EQ(list_.Pop(cpu)->index, 2);
+  EXPECT_EQ(list_.Pop(cpu)->index, 1);
+  EXPECT_EQ(list_.Pop(cpu)->index, 0);
 }
 
-TEST_F(AStackQueueTest, EmptyPopReportsExhaustion) {
+TEST_F(AStackFreeListTest, EmptyPopReportsExhaustion) {
   Processor& cpu = machine_.processor(0);
-  EXPECT_EQ(queue_.Pop(cpu).code(), ErrorCode::kAStacksExhausted);
+  EXPECT_EQ(list_.Pop(cpu).code(), ErrorCode::kAStacksExhausted);
 }
 
-TEST_F(AStackQueueTest, HeldChargeDefinesLockHoldTime) {
+TEST_F(AStackFreeListTest, HeldChargeDefinesLockHoldTime) {
   Processor& cpu = machine_.processor(0);
-  queue_.Push(cpu, {&region_, 0}, Micros(1.5));
-  ASSERT_TRUE(queue_.Pop(cpu, Micros(1.5)).ok());
-  EXPECT_EQ(queue_.lock().total_hold(), Micros(3));
+  list_.Register({&region_, 0});
+  Result<AStackRef> ref = list_.Pop(cpu, Micros(1.5));
+  ASSERT_TRUE(ref.ok());
+  list_.Push(cpu, *ref, Micros(1.5));
+  EXPECT_EQ(list_.sim_lock().total_hold(), Micros(3));
+  EXPECT_EQ(list_.sim_lock().acquisitions(), 2u);
+}
+
+TEST_F(AStackFreeListTest, AddedRegionsGrowTheListInIndexOrder) {
+  // Section 5.2 growth: a later region joins the list single-threaded, on
+  // top of whatever is still free.
+  Processor& cpu = machine_.processor(0);
+  AStackRegion secondary(kClient, kServer, 128, 20, /*secondary=*/true);
+  list_.AddRegion(cpu, &region_);
+  list_.AddRegion(cpu, &secondary);
+  EXPECT_EQ(list_.registered(), 25);
+  EXPECT_EQ(list_.Pop(cpu)->region, &secondary);
+  EXPECT_EQ(list_.Snapshot().size(), 24u);
+  EXPECT_EQ(list_.Snapshot().back(), (AStackRef{&region_, 0}));
 }
 
 }  // namespace
