@@ -25,6 +25,9 @@ struct CachedValidation {
 constexpr std::size_t kBindingCacheWays = 8;  // Power of two (index mask).
 
 thread_local CachedValidation tls_binding_cache[kBindingCacheWays];
+// Probes this thread answered from its cache, over every table: a count in
+// the thread's own storage, so a hit writes no line another caller reads.
+thread_local std::uint64_t tls_cache_hits = 0;
 
 CachedValidation& CacheSlotFor(BindingId id) {
   return tls_binding_cache[static_cast<std::size_t>(
@@ -43,6 +46,8 @@ BindingTable::BindingTable(std::uint64_t seed) : rng_(seed) {
                                           std::memory_order_relaxed),
                     std::memory_order_relaxed);  // LRPC_MO(setup-single-thread)
 }
+
+std::uint64_t BindingTable::ThreadCacheHits() { return tls_cache_hits; }
 
 BindingTable::~BindingTable() {
   for (std::atomic<Entry*>& chunk : chunks_) {
@@ -214,8 +219,7 @@ Result<BindingRecord*> BindingTable::ValidateCached(
   const std::uint64_t gen = generation_.load(std::memory_order_acquire);
   if (slot.table == this && slot.generation == gen && slot.id == object.id &&
       slot.nonce == object.nonce && slot.client == caller) {
-    // LRPC_MO(stat-counter)
-    cache_hits_.fetch_add(1, std::memory_order_relaxed);
+    ++tls_cache_hits;
     return InjectRevocation(slot.record);
   }
   Result<BindingRecord*> result = Read(object, caller);

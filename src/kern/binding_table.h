@@ -137,11 +137,9 @@ class BindingTable {
   std::uint64_t generation() const {
     return generation_.load(std::memory_order_acquire);
   }
-  // ValidateCached probes answered without touching the seqlock.
-  std::uint64_t cache_hits() const {
-    // LRPC_MO(stat-counter)
-    return cache_hits_.load(std::memory_order_relaxed);
-  }
+  // ValidateCached probes the calling thread answered from its own cache,
+  // without touching the seqlock, summed over every table.
+  static std::uint64_t ThreadCacheHits();
 
  private:
   // One line per entry: the seqlock read walks seq, the fields, then seq
@@ -190,11 +188,9 @@ class BindingTable {
   // cannot follow, so it stays a raw std::mutex; the seqlock protocol, not
   // a capability, is what protects the entries.
   mutable std::mutex baseline_mutex_;
-  // Read by every cached validation and written only by the writers; its
-  // own line keeps writer bumps from dragging the statistics line through
-  // every reader.
+  // Read by every cached validation and written only by the writers, on a
+  // line of its own.
   LRPC_CACHELINE_ALIGNED mutable std::atomic<std::uint64_t> generation_{0};
-  LRPC_CACHELINE_ALIGNED mutable std::atomic<std::uint64_t> cache_hits_{0};
 };
 
 }  // namespace lrpc

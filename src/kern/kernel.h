@@ -113,10 +113,11 @@ class Kernel {
     }
   }
 
-  // Kernel-wide linkage claim order (stamped into LinkageRecord::seq when a
-  // call pushes a linkage; the checker verifies LIFO discipline with it).
-  // Atomic so concurrent calls under the real-thread engine draw distinct
-  // values; relaxed, because only uniqueness matters, not ordering.
+  // A kernel-wide claim counter. No call draws from it: a call stamps
+  // LinkageRecord::seq from its Thread's own counter (Thread::NextLinkageSeq).
+  // It is kept only for perfbench's isolated kern.linkage_seq_ns timing,
+  // and goes at the next change to perfbench (ROADMAP item 6). Relaxed,
+  // because only uniqueness matters, not ordering.
   std::uint64_t NextLinkageSeq() {
     // LRPC_MO(unique-id)
     return linkage_seq_.fetch_add(1, std::memory_order_relaxed) + 1;

@@ -6,6 +6,11 @@
 // (Section 3.2, footnote 3) — one per outstanding cross-domain call — that
 // the return path pops, and that the termination collector (Section 5.3)
 // walks to deliver call-failed exceptions.
+//
+// On the real-thread engine each worker drives its own Thread on every
+// call (its current domain, user stack pointer, linkage stack and claim
+// counter), so a Thread owns its cache lines outright: two workers' TCBs
+// never share one (docs/fast_path.md layout audit).
 
 #ifndef SRC_KERN_THREAD_H_
 #define SRC_KERN_THREAD_H_
@@ -13,6 +18,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/common/cacheline.h"
 #include "src/common/ids.h"
 #include "src/shm/astack.h"
 
@@ -33,7 +39,7 @@ enum class ThreadException : std::uint8_t {
   kCallAborted,  // The client abandoned this (captured) thread's call.
 };
 
-class Thread {
+class LRPC_CACHELINE_ALIGNED Thread {
  public:
   Thread(ThreadId id, DomainId home) : id_(id), home_(home), current_(home) {}
 
@@ -68,6 +74,11 @@ class Thread {
   bool HasLinkages() const { return !linkage_stack_.empty(); }
   const std::vector<AStackRef>& linkage_stack() const { return linkage_stack_; }
   std::vector<AStackRef>& linkage_stack() { return linkage_stack_; }
+  // This thread's claim order, stamped into LinkageRecord::seq when a call
+  // pushes a linkage. The invariant checker compares seq values only within
+  // one thread's stack, so a per-thread count is enough, and concurrent
+  // callers draw theirs without touching a shared line.
+  std::uint64_t NextLinkageSeq() { return ++linkage_seq_; }
 
   // --- Async in-flight linkages (kernel-only; docs/async.md). ---
   // A-stack/linkage pairs an AsyncRing claimed for this thread but has not
@@ -116,6 +127,7 @@ class Thread {
   ThreadState state_ = ThreadState::kReady;
   ThreadException pending_exception_ = ThreadException::kNone;
   std::vector<AStackRef> linkage_stack_;
+  std::uint64_t linkage_seq_ = 0;
   std::vector<AStackRef> async_pending_;
   std::uint64_t user_sp_ = 0;
   bool captured_ = false;

@@ -448,7 +448,7 @@ void LrpcRuntime::PushLinkage(Thread& t, const BindingRecord& record,
                               const CallSlot& slot) {
   LinkageRecord& linkage = slot.astack.linkage();
   linkage.valid = true;
-  linkage.seq = kernel_.NextLinkageSeq();
+  linkage.seq = t.NextLinkageSeq();
   linkage.binding = record.id;
   t.PushLinkage(slot.astack);
   kernel_.NotifyEvent(KernelEventKind::kLinkageClaimed);

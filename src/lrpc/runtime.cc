@@ -100,16 +100,19 @@ Result<ClientBinding*> LrpcRuntime::Import(Processor& cpu, DomainId client_id,
   // bind-time A-stacks in a single contiguous region (fast validation) and
   // hands the client the A-stack list (Section 3.1), under the lock
   // discipline the kernel's binding table was given before the first
-  // import. Remote bindings have no shared A-stacks: calls go through the
-  // network path.
+  // import. On a host machine each processor gets a slot in front of the
+  // list; the simulator keeps the paper's list alone. Remote bindings have
+  // no shared A-stacks: calls go through the network path.
   if (!remote) {
+    const int slots =
+        machine().simulates_costs() ? 0 : machine().processor_count();
     for (int group = 0; group < iface->astack_group_count(); ++group) {
       AStackRegion* region = kernel_.AllocateAStacks(
           record, iface->group_astack_size(group),
           iface->group_astack_count(group), /*secondary=*/false);
       auto list = std::make_unique<ParFreeList>(
           iface->name() + ".group" + std::to_string(group),
-          kernel_.bindings().lock_free());
+          kernel_.bindings().lock_free(), slots);
       list->AddRegion(cpu, region);
       binding->AddFreeList(std::move(list));
     }

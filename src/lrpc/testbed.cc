@@ -13,9 +13,8 @@ void AddPaperProcedures(Interface* iface, int* null_proc, int* add_proc,
     ProcedureDef def;
     def.name = "Null";
     def.simultaneous_calls = simultaneous_calls;
-    def.handler = [&counters](ServerFrame&) {
-      // LRPC_MO(stat-counter)
-      counters.calls.fetch_add(1, std::memory_order_relaxed);
+    def.handler = [&counters](ServerFrame& frame) {
+      counters.CountCall(frame.cpu());
       return Status::Ok();
     };
     *null_proc = iface->AddProcedure(std::move(def));
@@ -39,8 +38,7 @@ void AddPaperProcedures(Interface* iface, int* null_proc, int* add_proc,
       if (!b.ok()) {
         return b.status();
       }
-      // LRPC_MO(stat-counter)
-      counters.calls.fetch_add(1, std::memory_order_relaxed);
+      counters.CountCall(frame.cpu());
       // Two's-complement wraparound; callers probe INT_MAX + 1, which is UB
       // on signed ints.
       const auto sum = static_cast<std::int32_t>(static_cast<std::uint32_t>(*a) +
@@ -66,10 +64,8 @@ void AddPaperProcedures(Interface* iface, int* null_proc, int* add_proc,
       }
       // Accumulate, not overwrite: concurrent handlers must not lose each
       // other's observation (the par stress test balances the grand total).
-      // LRPC_MO(stat-counter)
-      counters.bigin_bytes.fetch_add(sum, std::memory_order_relaxed);
-      // LRPC_MO(stat-counter)
-      counters.calls.fetch_add(1, std::memory_order_relaxed);
+      counters.CountBigInBytes(frame.cpu(), sum);
+      counters.CountCall(frame.cpu());
       return Status::Ok();
     };
     *bigin_proc = iface->AddProcedure(std::move(def));
@@ -88,8 +84,7 @@ void AddPaperProcedures(Interface* iface, int* null_proc, int* add_proc,
       if (!n.ok()) {
         return n.status();
       }
-      // LRPC_MO(stat-counter)
-      counters.calls.fetch_add(1, std::memory_order_relaxed);
+      counters.CountCall(frame.cpu());
       // Echo reversed, so tests can prove the server really transformed it.
       std::reverse(buffer, buffer + kBigSize);
       return frame.WriteResult(1, buffer, kBigSize);

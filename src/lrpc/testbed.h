@@ -10,10 +10,12 @@
 #ifndef SRC_LRPC_TESTBED_H_
 #define SRC_LRPC_TESTBED_H_
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
 
+#include "src/common/cacheline.h"
 #include "src/lrpc/runtime.h"
 #include "src/lrpc/server_frame.h"
 
@@ -21,14 +23,47 @@ namespace lrpc {
 
 inline constexpr std::size_t kBigSize = 200;
 
-// What the paper procedures' handlers count. Atomic because on the parallel
-// backend several workers run the handlers at once.
-struct PaperCounters {
+// What the paper procedures' handlers count, per processor: a handler bumps
+// only the line of the processor it runs on, and a read sums the lines. On
+// the parallel backend several workers run the handlers at once, so a
+// shared counter would be one more line every call writes. Processors past
+// kLines share lines, which stays exact because the bumps are atomic.
+class PaperCounters {
+ public:
+  void CountCall(const Processor& cpu) {
+    // LRPC_MO(stat-counter)
+    LineOf(cpu).calls.fetch_add(1, std::memory_order_relaxed);
+  }
+  void CountBigInBytes(const Processor& cpu, std::uint64_t bytes) {
+    // LRPC_MO(stat-counter)
+    LineOf(cpu).bigin_bytes.fetch_add(bytes, std::memory_order_relaxed);
+  }
+
   // Completed handler executions (a handler that rejects its arguments does
   // not count).
-  std::atomic<std::uint64_t> calls{0};
+  std::uint64_t calls() const { return Sum(&Line::calls); }
   // Sum of every byte BigIn observed, accumulated across calls.
-  std::atomic<std::uint64_t> bigin_bytes{0};
+  std::uint64_t bigin_bytes() const { return Sum(&Line::bigin_bytes); }
+
+ private:
+  static constexpr int kLines = 32;
+  struct LRPC_CACHELINE_ALIGNED Line {
+    std::atomic<std::uint64_t> calls{0};
+    std::atomic<std::uint64_t> bigin_bytes{0};
+  };
+  Line& LineOf(const Processor& cpu) {
+    return lines_[static_cast<std::size_t>(cpu.id() % kLines)];
+  }
+  std::uint64_t Sum(std::atomic<std::uint64_t> Line::*count) const {
+    std::uint64_t sum = 0;
+    for (const Line& line : lines_) {
+      // LRPC_MO(stat-counter)
+      sum += (line.*count).load(std::memory_order_relaxed);
+    }
+    return sum;
+  }
+
+  std::array<Line, kLines> lines_;
 };
 
 struct TestbedOptions {
@@ -70,10 +105,7 @@ class Testbed {
 
   // Sum of the bytes the server observed across its BigIn calls
   // (functional verification that data really crossed domains).
-  std::uint64_t server_bytes_seen() const {
-    // LRPC_MO(stat-counter)
-    return counters_.bigin_bytes.load(std::memory_order_relaxed);
-  }
+  std::uint64_t server_bytes_seen() const { return counters_.bigin_bytes(); }
 
  private:
   TestbedOptions options_;

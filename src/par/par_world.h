@@ -6,7 +6,7 @@
 // processor w with its own kernel thread in client domain w % M; with M == 1
 // every worker contends on a single binding's free lists, the §3.4 pattern
 // bench_mt_throughput measures. The handlers are Testbed's
-// (AddPaperProcedures), whose counters are atomics because with the
+// (AddPaperProcedures), which count per processor because with the
 // parallel backend several workers execute them concurrently.
 //
 // The world also builds with the deterministic-simulator backend
@@ -84,15 +84,9 @@ class ParWorld {
 
   // Sum of every byte the server observed across all BigIn calls (stress
   // tests balance this against what the clients sent).
-  std::uint64_t server_bytes_seen() const {
-    // LRPC_MO(stat-counter)
-    return counters_.bigin_bytes.load(std::memory_order_relaxed);
-  }
+  std::uint64_t server_bytes_seen() const { return counters_.bigin_bytes(); }
   // Completed server executions, counted inside the handlers.
-  std::uint64_t server_calls_seen() const {
-    // LRPC_MO(stat-counter)
-    return counters_.calls.load(std::memory_order_relaxed);
-  }
+  std::uint64_t server_calls_seen() const { return counters_.calls(); }
 
  private:
   Status Dispatch(int w, ClientBinding& binding, int procedure,

@@ -10,7 +10,9 @@
 #include <cstdio>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <new>
+#include <vector>
 
 #include "src/lrpc/interface.h"
 #include "src/lrpc/server_frame.h"
@@ -248,6 +250,17 @@ Status ProcHost::SpawnServer(DomainId server, const Interface* iface) {
   (void)!write(self.ctl_fd, &hello, sizeof(hello));
   close(self.ctl_fd);
 
+  // One scratch A-stack per procedure, built before the first call and
+  // reused by every call: the child allocates nothing per call, so its
+  // latency does not depend on the heap it inherited from the client at
+  // fork. No client domain maps them; the window crosses in the channel.
+  std::vector<std::unique_ptr<AStackRegion>> scratch;
+  for (int p = 0; p < self.iface->procedure_count(); ++p) {
+    scratch.push_back(std::make_unique<AStackRegion>(
+        kNoDomain, self.domain, self.iface->pd(p).astack_size, 1,
+        /*secondary=*/false));
+  }
+
   ProcChannel* ch = self.channel;
   Processor& cpu = runtime_.machine().processor(0);
   std::uint32_t handled = 0;
@@ -283,7 +296,7 @@ Status ProcHost::SpawnServer(DomainId server, const Interface* iface) {
         }
         ProcBatchEntry& entry = ch->batch[i];
         const Status handler_status = ChildRunHandler(
-            self, cpu, entry.procedure, entry.inline_window != 0,
+            self, cpu, scratch, entry.procedure, entry.inline_window != 0,
             entry.payload, entry.payload_len, kProcBatchEntryBytes);
         entry.handler_code = static_cast<std::int32_t>(handler_status.code());
         entry.done.store(1, std::memory_order_release);
@@ -303,8 +316,8 @@ Status ProcHost::SpawnServer(DomainId server, const Interface* iface) {
     }
 
     const Status handler_status = ChildRunHandler(
-        self, cpu, ch->procedure, ch->inline_window != 0, ch->payload,
-        ch->payload_len, kProcPayloadBytes);
+        self, cpu, scratch, ch->procedure, ch->inline_window != 0,
+        ch->payload, ch->payload_len, kProcPayloadBytes);
 
     ch->handler_code = static_cast<std::int32_t>(handler_status.code());
     handled = seen;
@@ -318,10 +331,11 @@ Status ProcHost::SpawnServer(DomainId server, const Interface* iface) {
   }
 }
 
-Status ProcHost::ChildRunHandler(Endpoint& self, Processor& cpu,
-                                 int procedure, bool inline_window,
-                                 std::uint8_t* payload, std::size_t len,
-                                 std::size_t capacity) {
+Status ProcHost::ChildRunHandler(
+    Endpoint& self, Processor& cpu,
+    std::span<const std::unique_ptr<AStackRegion>> scratch, int procedure,
+    bool inline_window, std::uint8_t* payload, std::size_t len,
+    std::size_t capacity) {
   if (procedure < 0 || procedure >= self.iface->procedure_count()) {
     return Status(ErrorCode::kNoSuchProcedure);
   }
@@ -329,32 +343,32 @@ Status ProcHost::ChildRunHandler(Endpoint& self, Processor& cpu,
   const ProcedureDef& def = *pd.def;
   const auto client = static_cast<DomainId>(self.channel->client_domain);
   const auto caller = static_cast<ThreadId>(self.channel->caller_thread);
-  // A scratch A-stack shaped like the real one; the register-window mode
-  // serves arguments straight from the payload instead.
-  const std::size_t scratch_size =
-      pd.astack_size > 0 ? pd.astack_size : kLinkageRegsSize;
-  // `len` comes from memory the client process can write: a window longer
-  // than the scratch A-stack or the payload area would overrun one of them
-  // in the copies below.
-  if (len > scratch_size || len > capacity) {
+  // `len` comes from memory the client process can write. An honest client
+  // sends exactly the procedure's window (LrpcRuntime::ProcCallOf): the
+  // register window for an inline call, the whole A-stack otherwise. Any
+  // other length could overrun the scratch A-stack or the payload area, or
+  // leave the reused A-stack holding bytes of an earlier call.
+  const std::size_t window = inline_window ? pd.slot_span : pd.astack_size;
+  if ((inline_window && !pd.inline_eligible) || len != window ||
+      len > capacity) {
     return Status(ErrorCode::kInvalidArgument,
-                  "argument window exceeds the procedure's A-stack");
+                  "argument window is not the procedure's A-stack");
   }
-  AStackRegion scratch(client, self.domain, scratch_size, 1, false);
-  const AStackRef ref{&scratch, 0};
+  AStackRegion& region = *scratch[static_cast<std::size_t>(procedure)];
+  const AStackRef ref{&region, 0};
   ServerFrame frame(nullptr, cpu, def, ref, self.domain, client, caller,
                     nullptr);
   if (inline_window) {
     frame.AttachRegisterWindow(payload);
   } else if (len > 0) {
-    std::memcpy(scratch.segment().DataUnchecked(), payload, len);
+    std::memcpy(region.segment().DataUnchecked(), payload, len);
   }
   Status handler_status = frame.PrepareArguments();
   if (handler_status.ok() && def.handler) {
     handler_status = def.handler(frame);
   }
   if (!inline_window && len > 0) {
-    std::memcpy(payload, scratch.segment().DataUnchecked(), len);
+    std::memcpy(payload, region.segment().DataUnchecked(), len);
   }
   return handler_status;
 }

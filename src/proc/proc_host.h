@@ -20,6 +20,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "src/common/ids.h"
@@ -113,13 +115,16 @@ class ProcHost : public ProcTransport {
   // Serve loop of the forked child; never returns.
   [[noreturn]] void ChildServe(Endpoint& self);
   // One handler execution in the child, against `payload` (`capacity`
-  // bytes) as the argument window; shared by the single-call and batched
-  // serve paths. The other arguments are channel header fields, read once
-  // by the caller; a `len` the procedure's A-stack or the payload cannot
-  // hold fails kInvalidArgument.
-  Status ChildRunHandler(Endpoint& self, Processor& cpu, int procedure,
-                         bool inline_window, std::uint8_t* payload,
-                         std::size_t len, std::size_t capacity);
+  // bytes) as the argument window and the procedure's entry of `scratch`
+  // (one A-stack per procedure, built before the serve loop) as its
+  // A-stack; shared by the single-call and batched serve paths. The other
+  // arguments are channel header fields, read once by the caller; a `len`
+  // other than the procedure's exact window fails kInvalidArgument.
+  Status ChildRunHandler(Endpoint& self, Processor& cpu,
+                         std::span<const std::unique_ptr<AStackRegion>> scratch,
+                         int procedure, bool inline_window,
+                         std::uint8_t* payload, std::size_t len,
+                         std::size_t capacity);
 
   // Reaps (if needed) and marks an endpoint's corpse; idempotent.
   void MarkDead(Endpoint& ep);

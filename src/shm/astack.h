@@ -47,8 +47,8 @@ struct LRPC_CACHELINE_ALIGNED LinkageRecord {
   bool valid = true;         // Invalidated when a party domain terminates.
   bool in_use = false;       // An outstanding call owns this A-stack/linkage.
   std::uint32_t procedure = 0;
-  // Kernel-wide claim order, stamped when the linkage is pushed; the
-  // invariant checker uses it to verify linkage-stack LIFO discipline.
+  // The calling thread's claim order, stamped when the linkage is pushed;
+  // the invariant checker uses it to verify linkage-stack LIFO discipline.
   std::uint64_t seq = 0;
   ThreadId caller_thread = kNoThread;
   DomainId caller_domain = kNoDomain;

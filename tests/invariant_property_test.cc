@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <vector>
+
 #include "src/kern/invariant_checker.h"
 #include "src/lrpc/chaos_testbed.h"
 #include "src/lrpc/server_frame.h"
@@ -113,6 +116,95 @@ TEST(InvariantProperty, NestedCallsKeepLinkageStacksLifo) {
   EXPECT_TRUE(checker.ok()) << (checker.violations().empty()
                                     ? ""
                                     : checker.violations().front());
+  EXPECT_GT(checker.events_seen(), 0u);
+}
+
+TEST(InvariantProperty, ClaimOrderIsCheckedDownEachThreadsOwnStack) {
+  // Each thread stamps its linkages from its own counter
+  // (Thread::NextLinkageSeq), so the checker compares seq values only down
+  // one thread's stack. client -> middle -> inner: middle's Relay calls
+  // inner's Probe on the thread `relay_thread` names, and Probe runs
+  // `probe` while both calls are outstanding.
+  Machine machine(MachineModel::CVaxFirefly(), 1);
+  Kernel kernel(machine);
+  LrpcRuntime runtime(kernel);
+  Processor& cpu = machine.processor(0);
+
+  const DomainId client = kernel.CreateDomain({.name = "client"});
+  const DomainId middle = kernel.CreateDomain({.name = "middle"});
+  const DomainId inner = kernel.CreateDomain({.name = "inner"});
+  const ThreadId caller = kernel.CreateThread(client);
+  const ThreadId middle_thread = kernel.CreateThread(middle);
+
+  std::function<void()> probe;
+  Interface* inner_iface = runtime.CreateInterface(inner, "order.inner");
+  ProcedureDef probe_def;
+  probe_def.name = "Probe";
+  probe_def.handler = [&](ServerFrame&) {
+    probe();
+    return Status::Ok();
+  };
+  const int probe_proc = inner_iface->AddProcedure(std::move(probe_def));
+  ASSERT_TRUE(runtime.Export(inner_iface).ok());
+  Result<ClientBinding*> to_inner = runtime.Import(cpu, middle, "order.inner");
+  ASSERT_TRUE(to_inner.ok());
+
+  ThreadId relay_thread = kNoThread;
+  Interface* middle_iface = runtime.CreateInterface(middle, "order.middle");
+  ProcedureDef relay_def;
+  relay_def.name = "Relay";
+  relay_def.handler = [&](ServerFrame&) {
+    return runtime.Call(cpu, relay_thread, **to_inner, probe_proc, {}, {});
+  };
+  const int relay_proc = middle_iface->AddProcedure(std::move(relay_def));
+  ASSERT_TRUE(runtime.Export(middle_iface).ok());
+  Result<ClientBinding*> to_middle =
+      runtime.Import(cpu, client, "order.middle");
+  ASSERT_TRUE(to_middle.ok());
+
+  InvariantChecker checker(kernel);
+  const auto stack_of = [&](ThreadId id) -> const std::vector<AStackRef>& {
+    return kernel.thread(id).linkage_stack();
+  };
+
+  // Two threads' first calls, outstanding at once: the caller's Relay and
+  // a middle-domain thread's Probe are both stamped 1. Equal stamps on two
+  // stacks are not a violation.
+  relay_thread = middle_thread;
+  probe = [&] {
+    ASSERT_EQ(stack_of(caller).size(), 1u);
+    ASSERT_EQ(stack_of(middle_thread).size(), 1u);
+    EXPECT_EQ(stack_of(caller)[0].linkage().seq, 1u);
+    EXPECT_EQ(stack_of(middle_thread)[0].linkage().seq, 1u);
+    checker.CheckNow("coinciding stamps");
+  };
+  ASSERT_TRUE(runtime.Call(cpu, caller, **to_middle, relay_proc, {}, {}).ok());
+  EXPECT_TRUE(checker.ok()) << (checker.violations().empty()
+                                    ? ""
+                                    : checker.violations().front());
+
+  // The caller's nested call: the inner linkage sits above the outer one
+  // and was stamped after it. Re-stamped at or below the outer linkage's
+  // seq, it breaks the claim order, and the checker must flag it.
+  relay_thread = caller;
+  probe = [&] {
+    ASSERT_EQ(stack_of(caller).size(), 2u);
+    const LinkageRecord& below = stack_of(caller)[0].linkage();
+    LinkageRecord& top = stack_of(caller)[1].linkage();
+    EXPECT_LT(below.seq, top.seq);
+    checker.CheckNow("nested");
+    EXPECT_TRUE(checker.ok());
+    const std::uint64_t stamped = top.seq;
+    for (const std::uint64_t restamp : {below.seq, below.seq - 1}) {
+      top.seq = restamp;
+      const std::uint64_t before = checker.violation_count();
+      checker.CheckNow("re-stamped");
+      EXPECT_EQ(checker.violation_count(), before + 1) << "seq " << restamp;
+    }
+    top.seq = stamped;
+  };
+  ASSERT_TRUE(runtime.Call(cpu, caller, **to_middle, relay_proc, {}, {}).ok());
+  EXPECT_EQ(checker.violation_count(), 2u);
   EXPECT_GT(checker.events_seen(), 0u);
 }
 

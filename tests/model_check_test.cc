@@ -13,6 +13,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
+#include <string>
+#include <vector>
 
 #include "src/common/model_check.h"
 
@@ -568,6 +571,221 @@ TEST(CompletionRingModel, PublishingTailBeforeTheCellIsCaught) {
   EXPECT_FALSE(stats.ok());
   ASSERT_FALSE(stats.failure_traces.empty());
   EXPECT_NE(stats.failure_traces[0].find("invariant violated"),
+            std::string::npos);
+}
+
+// --- The free list's exhaustion rule with processor slots ---
+//
+// ParFreeList::Pop (src/shm/par_free_list.cc) takes its own processor's
+// slot, then the shared list, then steals from the other slots, and may
+// report kAStacksExhausted only if at some instant during the pop no
+// A-stack was free. One scan is not enough: an A-stack can move from a
+// place the scan has not reached to one it has passed. The model has two
+// A-stacks and three processors. The popper (processor 0) finds nothing
+// of its own. Processor 1 holds one A-stack, which it parks in its slot
+// and then cycles once more; processor 2 takes the other from its slot and
+// puts it back. Every atomic action of the real code is one step: a slot
+// take or fill, a head exchange, one load of a collect. The broken variant
+// reports exhaustion after a single scan, and the checker must catch it.
+
+constexpr int kSlotProcessors = 3;
+constexpr int kSlotNodes = 2;
+
+struct SlotPopModel {
+  int list[kSlotNodes] = {};  // The shared list, list[list_len - 1] on top.
+  int list_len = 0;
+  std::uint32_t head_tag = 0;
+  int slot[kSlotProcessors] = {-1, -1, 0};  // Processor 2 parked node 0.
+  std::uint32_t slot_tag[kSlotProcessors] = {};
+  int held[kSlotProcessors] = {-1, 1, -1};  // Processor 1 holds node 1.
+  // The popper's locals.
+  std::uint64_t sum = 0;
+  std::uint64_t first = 0;
+  bool popping = false;
+  bool exhausted = false;
+  bool nothing_free_seen = false;
+  bool operator==(const SlotPopModel&) const = default;
+
+  int FreeCount() const {
+    int free = list_len;
+    for (const int node : slot) {
+      free += node >= 0 ? 1 : 0;
+    }
+    return free;
+  }
+  // Records an instant inside the pop at which no A-stack was free.
+  void Note() {
+    if (popping && FreeCount() == 0) {
+      nothing_free_seen = true;
+    }
+  }
+  int Take(int p) {
+    const int node = slot[p];
+    slot[p] = -1;  // A take keeps the tag; only a fill advances it.
+    return node;
+  }
+  int PopList() {
+    if (list_len == 0) {
+      return -1;
+    }
+    ++head_tag;
+    return list[--list_len];
+  }
+  void Push(int p, int node) {
+    if (slot[p] < 0) {
+      slot[p] = node;
+      ++slot_tag[p];
+    } else {
+      list[list_len++] = node;
+      ++head_tag;
+    }
+  }
+};
+
+// A rival processor's pop or push, each one atomic step.
+ModelThread<SlotPopModel> SlotRival(int p, bool pops_first) {
+  ModelThread<SlotPopModel> t;
+  t.name = "cpu" + std::to_string(p);
+  const auto pop = [p](SlotPopModel& m) {
+    int node = m.Take(p);
+    if (node < 0) {
+      node = m.PopList();
+    }
+    m.held[p] = node;
+  };
+  const auto push = [p](SlotPopModel& m) {
+    if (m.held[p] >= 0) {
+      m.Push(p, m.held[p]);
+      m.held[p] = -1;
+    }
+  };
+  const std::vector<std::function<void(SlotPopModel&)>> actions =
+      pops_first ? std::vector<std::function<void(SlotPopModel&)>>{pop, push}
+                 : std::vector<std::function<void(SlotPopModel&)>>{push, pop,
+                                                                   push};
+  for (std::size_t i = 0; i < actions.size(); ++i) {
+    const int next = i + 1 == actions.size() ? kDone : static_cast<int>(i + 1);
+    t.steps.push_back([action = actions[i], next](SlotPopModel& m) {
+      action(m);
+      m.Note();
+      return next;
+    });
+  }
+  return t;
+}
+
+ModelThread<SlotPopModel> SlotPopper(bool double_collect) {
+  ModelThread<SlotPopModel> t;
+  t.name = "pop";
+  constexpr int kPopper = 0;
+  // A step that ends the pop with `node`, or moves on to `next`.
+  const auto found = [](SlotPopModel& m, int node, int next) {
+    if (node >= 0) {
+      m.held[kPopper] = node;
+      m.popping = false;
+      return kDone;
+    }
+    m.Note();
+    return next;
+  };
+  const auto report_exhausted = [](SlotPopModel& m) {
+    m.Note();
+    m.exhausted = true;
+    m.popping = false;
+    return kDone;
+  };
+  // 0: own slot, 1: the shared list, 2-3: steal.
+  t.steps.push_back([found](SlotPopModel& m) {
+    m.popping = true;
+    m.Note();
+    return found(m, m.Take(kPopper), 1);
+  });
+  t.steps.push_back([found](SlotPopModel& m) {
+    return found(m, m.PopList(), 2);
+  });
+  t.steps.push_back([found](SlotPopModel& m) { return found(m, m.Take(1), 3); });
+  if (!double_collect) {
+    t.steps.push_back([found, report_exhausted](SlotPopModel& m) {
+      const int node = m.Take(2);
+      return node >= 0 ? found(m, node, kDone) : report_exhausted(m);
+    });
+    return t;
+  }
+  t.steps.push_back([found](SlotPopModel& m) { return found(m, m.Take(2), 4); });
+  // 4-7 and 8-11: two collects, one load per step; a place holding a node
+  // sends the pop back to step 0.
+  for (int pass = 0; pass < 2; ++pass) {
+    const int base = 4 + 4 * pass;
+    t.steps.push_back([base](SlotPopModel& m) {
+      m.Note();
+      if (m.list_len > 0) {
+        return 0;
+      }
+      m.sum = m.head_tag;
+      return base + 1;
+    });
+    for (int p = 0; p < kSlotProcessors; ++p) {
+      const bool last = p + 1 == kSlotProcessors;
+      t.steps.push_back([base, p, last, pass, report_exhausted](
+                            SlotPopModel& m) {
+        m.Note();
+        if (m.slot[p] >= 0) {
+          return 0;
+        }
+        m.sum += m.slot_tag[p];
+        if (!last) {
+          return base + 2 + p;
+        }
+        if (pass == 0) {
+          m.first = m.sum;
+          return base + 4;
+        }
+        return m.sum == m.first ? report_exhausted(m) : 0;
+      });
+    }
+  }
+  return t;
+}
+
+ExploreStats CheckSlotPop(bool double_collect) {
+  Explorer<SlotPopModel> explorer({SlotPopper(double_collect),
+                                   SlotRival(1, /*pops_first=*/false),
+                                   SlotRival(2, /*pops_first=*/true)});
+  explorer.set_terminal_check([](const SlotPopModel& m) {
+    // Exact exhaustion, and every A-stack in exactly one place.
+    if (m.exhausted && !m.nothing_free_seen) {
+      return false;
+    }
+    int seen[kSlotNodes] = {};
+    for (int i = 0; i < m.list_len; ++i) {
+      ++seen[m.list[i]];
+    }
+    for (int p = 0; p < kSlotProcessors; ++p) {
+      for (const int node : {m.slot[p], m.held[p]}) {
+        if (node >= 0) {
+          ++seen[node];
+        }
+      }
+    }
+    return seen[0] == 1 && seen[1] == 1;
+  });
+  return explorer.Run(SlotPopModel{});
+}
+
+TEST(FreeListSlotModel, ExhaustionIsReportedOnlyWhenNothingWasFree) {
+  const ExploreStats stats = CheckSlotPop(/*double_collect=*/true);
+  EXPECT_TRUE(stats.ok()) << stats.failure_traces[0];
+  EXPECT_GT(stats.schedules, 100u);
+}
+
+TEST(FreeListSlotModel, ReportingExhaustionAfterOneScanIsCaught) {
+  // pop/0 pop/1 pop/2 find nothing; processor 1 parks its A-stack in the
+  // slot the scan has passed, processor 2 takes the other from the slot
+  // the scan has not reached, and pop/3 then finds that slot empty too.
+  const ExploreStats stats = CheckSlotPop(/*double_collect=*/false);
+  EXPECT_FALSE(stats.ok());
+  ASSERT_FALSE(stats.failure_traces.empty());
+  EXPECT_NE(stats.failure_traces[0].find("terminal check failed"),
             std::string::npos);
 }
 

@@ -141,6 +141,65 @@ TEST(ParFreeListProperty, ConcurrentPopsNeverDoubleClaim) {
   EXPECT_EQ(list.Snapshot().size(), 0u);
 }
 
+TEST(ParFreeListProperty, NoFalseExhaustionWhileAnAStackIsFree) {
+  // P threads share P*k A-stacks of one par binding's group, and each holds
+  // at most k: while one pops, at least one A-stack is free, so no pop may
+  // report exhaustion however the A-stacks move between the processors'
+  // slots and the shared list. Each round pops k, then pushes them back in
+  // a seeded order: as popped, reversed, or shuffled.
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 20000;
+  for (int k = 1; k <= 3; ++k) {
+    ParWorldOptions options;
+    options.workers = kThreads;
+    options.astacks_per_group = kThreads * k;
+    ParWorld world(options);
+    ParFreeList& list = world.worker_binding(0).free_list(0);
+    ASSERT_EQ(list.slot_count(), kThreads);
+    ASSERT_EQ(list.registered(), kThreads * k);
+
+    std::atomic<std::uint64_t> exhausted{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        Processor& cpu = world.machine().processor(t);
+        std::mt19937 rng(static_cast<std::mt19937::result_type>(100 * k + t));
+        std::vector<AStackRef> held;
+        for (int round = 0; round < kRounds; ++round) {
+          for (int i = 0; i < k; ++i) {
+            Result<AStackRef> ref = list.Pop(cpu);
+            if (ref.ok()) {
+              held.push_back(*ref);
+            } else {
+              exhausted.fetch_add(1, std::memory_order_relaxed);
+            }
+          }
+          switch (rng() % 3) {
+            case 0:
+              break;
+            case 1:
+              std::reverse(held.begin(), held.end());
+              break;
+            default:
+              std::shuffle(held.begin(), held.end(), rng);
+              break;
+          }
+          for (const AStackRef& ref : held) {
+            list.Push(cpu, ref);
+          }
+          held.clear();
+        }
+      });
+    }
+    for (std::thread& t : threads) {
+      t.join();
+    }
+    EXPECT_EQ(exhausted.load(), 0u) << "k " << k;
+    EXPECT_TRUE(world.par()->AuditConservation().ok()) << "k " << k;
+    EXPECT_EQ(static_cast<int>(list.Snapshot().size()), kThreads * k);
+  }
+}
+
 // What a binding is, with none of the table's machinery.
 struct ModelBinding {
   std::uint64_t nonce = 0;

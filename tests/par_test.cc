@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -314,6 +315,50 @@ TEST(ParWorldTest, ExhaustionFailsFastInsteadOfGrowing) {
   EXPECT_TRUE(world.CallNull(0).ok());
 }
 
+TEST(ParWorldTest, AStackInAnotherProcessorsSlotIsStolenAndAudited) {
+  ParWorldOptions options;
+  options.workers = 2;
+  options.astacks_per_group = 2;
+  ParWorld world(options);
+  Processor& cpu0 = world.machine().processor(0);
+  Processor& cpu1 = world.machine().processor(1);
+  ParFreeList& list = world.worker_binding(0).free_list(0);
+  ASSERT_EQ(list.slot_count(), 2);
+
+  // Empty the shared list, then park one A-stack in each processor's slot.
+  Result<AStackRef> mine = list.Pop(cpu0);
+  Result<AStackRef> theirs = list.Pop(cpu0);
+  ASSERT_TRUE(mine.ok());
+  ASSERT_TRUE(theirs.ok());
+  list.Push(cpu0, *mine);
+  list.Push(cpu1, *theirs);
+  EXPECT_EQ(list.head_tag(), 4u);  // Two registrations and two pops.
+
+  // The audit counts A-stacks parked in slots as free.
+  EXPECT_EQ(list.Snapshot().size(), 2u);
+  std::vector<std::string> found;
+  world.runtime().AuditAStacks(/*quiescent=*/true, found);
+  EXPECT_TRUE(found.empty()) << (found.empty() ? "" : found.front());
+
+  // Processor 0 takes its own slot first, then, with the shared list
+  // empty, steals from processor 1's slot; only then is the group empty.
+  Result<AStackRef> first = list.Pop(cpu0);
+  ASSERT_TRUE(first.ok());
+  EXPECT_EQ(*first, *mine);
+  Result<AStackRef> stolen = list.Pop(cpu0);
+  ASSERT_TRUE(stolen.ok());
+  EXPECT_EQ(*stolen, *theirs);
+  EXPECT_EQ(list.Pop(cpu0).code(), ErrorCode::kAStacksExhausted);
+  EXPECT_EQ(list.head_tag(), 4u);  // No pop or push touched the head.
+
+  list.Push(cpu1, *stolen);
+  list.Push(cpu1, *first);  // Processor 1's slot is full: the shared list.
+  EXPECT_EQ(list.head_tag(), 5u);
+  EXPECT_TRUE(world.CallNull(0).ok());
+  EXPECT_TRUE(world.CallNull(1).ok());
+  EXPECT_TRUE(world.par()->AuditConservation().ok());
+}
+
 TEST(ParWorldTest, DeterministicBackendStillWorksThroughParWorld) {
   ParWorldOptions options;
   options.workers = 1;
@@ -323,11 +368,13 @@ TEST(ParWorldTest, DeterministicBackendStillWorksThroughParWorld) {
   std::int32_t sum = 0;
   EXPECT_TRUE(world.CallAdd(0, 1, 2, &sum).ok());
   EXPECT_EQ(sum, 3);
-  // The simulator takes the group's lock for the pop and the push.
+  // The simulator takes the group's lock for the pop and the push, and its
+  // lists keep no processor slots.
   ClientBinding& binding = world.worker_binding(0);
   const int group =
       binding.interface_spec()->pd(world.add_proc()).astack_group;
   EXPECT_GE(binding.free_list(group).sim_lock().acquisitions(), 2u);
+  EXPECT_EQ(binding.free_list(group).slot_count(), 0);
 }
 
 TEST(RuntimeBackendTest, TheBackendDecidesWhetherTheMachineSimulatesCosts) {

@@ -249,6 +249,92 @@ TEST(ProcBackendTest, OversizedWindowIsRejectedAndTheServerSurvives) {
   EXPECT_EQ(sum, 1234);
 }
 
+// The server accepts only the exact window an honest client sends
+// (LrpcRuntime::ProcCallOf): a shorter one would run the handler on a
+// reused scratch A-stack that still holds an earlier call's bytes.
+TEST(ProcBackendTest, ShortWindowIsRejectedAndTheServerSurvives) {
+  SKIP_WITHOUT_FORK();
+  ProcWorld world;
+  ASSERT_TRUE(world.ok()) << world.spawn_status().detail();
+
+  std::int32_t sum = 0;
+  ASSERT_TRUE(world.CallAdd(1200, 34, &sum).ok());
+  std::uint8_t window[4] = {1, 2, 3, 4};
+  Status handler_status;
+  const Status leg = world.host().Execute(
+      world.server_domain(), world.client_domain(), world.add_proc(),
+      /*inline_window=*/false, window, sizeof(window), &handler_status,
+      ProcTransport::KillPhase::kNone);
+  ASSERT_TRUE(leg.ok()) << ErrorCodeName(leg.code());
+  EXPECT_EQ(handler_status.code(), ErrorCode::kInvalidArgument);
+
+  ASSERT_TRUE(world.CallAdd(-34, 1234, &sum).ok());
+  EXPECT_EQ(sum, 1200);
+  // The rejected window never reached the handler.
+  EXPECT_EQ(world.counters().calls.load(std::memory_order_acquire), 2u);
+}
+
+// The server builds one scratch A-stack per procedure before it serves and
+// reuses it for every call: a seeded mix of general Adds, inline Adds and
+// BigInOuts through one server must each come back right.
+TEST(ProcBackendTest, ReusedScratchAStacksServeSeededMixedCalls) {
+  SKIP_WITHOUT_FORK();
+  ProcWorld world;
+  ASSERT_TRUE(world.ok()) << world.spawn_status().detail();
+  const ProcedureDescriptor& add =
+      world.binding().interface_spec()->pd(world.add_proc());
+  ASSERT_TRUE(add.inline_eligible);
+  const std::size_t a_at = ParamOffset(*add.def, 0);
+  const std::size_t b_at = ParamOffset(*add.def, 1);
+  const std::size_t sum_at = ParamOffset(*add.def, 2);
+
+  Rng rng(104729);
+  constexpr int kCalls = 300;
+  for (int i = 0; i < kCalls; ++i) {
+    const auto a = static_cast<std::int32_t>(rng.Next());
+    const auto b = static_cast<std::int32_t>(rng.Next());
+    const auto want = static_cast<std::int32_t>(static_cast<std::uint32_t>(a) +
+                                                static_cast<std::uint32_t>(b));
+    switch (rng.Next() % 3) {
+      case 0: {
+        std::int32_t sum = 0;
+        ASSERT_TRUE(world.CallAdd(a, b, &sum).ok()) << "call " << i;
+        EXPECT_EQ(sum, want) << "call " << i;
+        break;
+      }
+      case 1: {
+        std::uint8_t block[kInlineSlotSpanLimit] = {};
+        std::memcpy(block + a_at, &a, sizeof(a));
+        std::memcpy(block + b_at, &b, sizeof(b));
+        ASSERT_TRUE(world.runtime()
+                        .CallInline(world.cpu(), world.client_thread(),
+                                    world.binding(), world.add_proc(), block,
+                                    block)
+                        .ok())
+            << "call " << i;
+        std::int32_t sum = 0;
+        std::memcpy(&sum, block + sum_at, sizeof(sum));
+        EXPECT_EQ(sum, want) << "call " << i;
+        break;
+      }
+      default: {
+        std::uint8_t in[kBigSize];
+        std::uint8_t out[kBigSize] = {};
+        for (std::uint8_t& byte : in) {
+          byte = static_cast<std::uint8_t>(rng.Next());
+        }
+        ASSERT_TRUE(world.CallBigInOut(in, out).ok()) << "call " << i;
+        for (std::size_t j = 0; j < kBigSize; ++j) {
+          ASSERT_EQ(out[j], in[kBigSize - 1 - j]) << "call " << i;
+        }
+        break;
+      }
+    }
+  }
+  EXPECT_EQ(world.counters().calls.load(std::memory_order_acquire),
+            static_cast<std::uint64_t>(kCalls));
+}
+
 // --- Peer death: detection, status split, collection, reclamation. ---
 
 TEST(ProcDeathTest, OutOfCallKillIsSeenBySupervisorAndCollected) {
@@ -505,9 +591,16 @@ TEST(ProcAsyncTest, MidBatchDeathIsTriagedPerEntry) {
   // Drive the transport directly: four Nulls with a SIGKILL armed inside
   // the server body — the child dies halfway (before entry batch/2 == 2),
   // so the done words split the batch into finished and unfinished halves.
+  // Each entry carries Null's whole A-stack, the exact window an honest
+  // client sends (LrpcRuntime::ProcCallOf).
+  const std::size_t window_len =
+      world.binding().interface_spec()->pd(world.null_proc()).astack_size;
+  std::vector<std::uint8_t> windows(4 * window_len);
   ProcTransport::BatchCall calls[4];
-  for (ProcTransport::BatchCall& call : calls) {
-    call.procedure = world.null_proc();
+  for (std::size_t i = 0; i < 4; ++i) {
+    calls[i].procedure = world.null_proc();
+    calls[i].window = windows.data() + i * window_len;
+    calls[i].window_len = window_len;
   }
   ASSERT_TRUE(world.host()
                   .ExecuteBatch(world.server_domain(), world.client_domain(),
