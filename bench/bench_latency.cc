@@ -2,8 +2,7 @@
 // down (docs/fast_path.md, docs/EXPERIMENTS.md).
 //
 // Runs a single worker on the parallel-host backend (lock-free structures,
-// no parked processors, no contention) and measures wall-clock ns/call for
-// the paper's workloads:
+// no contention) and measures wall-clock ns/call for the paper's workloads:
 //
 //   null      the Null call, both the general marshaling path and the
 //             register-style inline path (zero-byte window)
@@ -191,7 +190,6 @@ int main(int argc, char** argv) {
   lrpc::ParWorldOptions options;
   options.workers = 1;
   options.domains = 1;
-  options.parked = 0;  // No exchange path: measure the switch-based call.
   options.lock_free = true;
   lrpc::ParWorld world(options);
   lrpc::LrpcRuntime& rt = world.runtime();

@@ -1,11 +1,12 @@
 // Figure 3 on real threads: multiprocessor call throughput of the parallel
 // engine (docs/concurrency.md, docs/EXPERIMENTS.md).
 //
-// Sweeps worker threads 1..N over {lock-free, single-lock} shared structures
-// and {domain caching on, off}, measuring wall-clock Null calls/second per
-// configuration, and writes the matrix as JSON (BENCH_throughput.json at the
-// repo root is the committed snapshot; `cmake --build build --target
-// bench-json` refreshes it).
+// Sweeps worker threads 1..N over {lock-free, single-lock} shared structures,
+// measuring wall-clock Null calls/second per configuration, and writes the
+// matrix as JSON (BENCH_throughput.json at the repo root is the committed
+// snapshot; `cmake --build build --target bench-json` refreshes it). Worker
+// w pins itself to the w-th CPU this process may run on (modulo their
+// count) before its first call, so every run places its threads alike.
 //
 // The paper's Figure 3 shows call throughput scaling near-linearly to 4
 // processors because the only shared state on the call path is guarded by
@@ -33,6 +34,8 @@
 //                    threads, and (only when the host has >= 2 cores)
 //                    multi-thread > 1.5x single-thread
 
+#include <sched.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -50,65 +53,90 @@ namespace {
 struct Row {
   int threads = 0;
   bool lock_free = false;
-  bool domain_caching = false;
-  int parked = 0;
   bool oversubscribed = false;
   double calls_per_sec = 0.0;
   std::uint64_t calls = 0;
   std::uint64_t failed = 0;
   std::uint64_t cas_retries = 0;
-  std::uint64_t exchange_claims = 0;
 };
 
-Row RunConfigOnce(int threads, bool lock_free, bool caching, int wall_ms,
-                  int warmup_ms, unsigned hw) {
+// The CPUs this process may run on (on an unrestricted host, CPUs
+// 0..hardware_concurrency-1), read once by the first worker to pin itself,
+// before it does.
+const std::vector<int>& AllowedCpus() {
+  static const std::vector<int> cpus = [] {
+    std::vector<int> found;
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+      for (int c = 0; c < CPU_SETSIZE; ++c) {
+        if (CPU_ISSET(c, &set)) {
+          found.push_back(c);
+        }
+      }
+    }
+    return found;
+  }();
+  return cpus;
+}
+
+// Pins the calling worker thread to allowed CPU `w` (modulo their count),
+// once per thread.
+void PinWorker(int w) {
+  thread_local bool pinned = false;
+  if (pinned) {
+    return;
+  }
+  pinned = true;
+  const std::vector<int>& cpus = AllowedCpus();
+  if (cpus.empty()) {
+    return;
+  }
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  CPU_SET(cpus[static_cast<std::size_t>(w) % cpus.size()], &set);
+  sched_setaffinity(0, sizeof(set), &set);
+}
+
+Row RunConfigOnce(int threads, bool lock_free, int wall_ms, int warmup_ms,
+                  unsigned hw) {
   lrpc::ParWorldOptions options;
   options.workers = threads;
   options.domains = 1;  // One shared binding: maximum free-list contention.
-  // Domain caching only pays off when idle processors exist to exchange
-  // with, so the caching rows also park two (note: on a host with fewer
-  // cores than threads+parked this adds oversubscription — the row is
-  // flagged, and caching-on vs caching-off is not a like-for-like pair
-  // there).
-  options.parked = caching ? 2 : 0;
   options.lock_free = lock_free;
-  options.domain_caching = caching;
   options.astacks_per_group = std::max(8, 2 * threads);
   lrpc::ParWorld world(options);
+  const auto call_null = [&world](int w) {
+    PinWorker(w);
+    return world.CallNull(w);
+  };
 
   if (warmup_ms > 0) {
     // Untimed: absorbs first-touch page faults, allocator growth and branch
     // training so the timed window measures the steady state.
-    world.par()->RunWorkers(std::chrono::milliseconds(warmup_ms),
-                            [&world](int w) { return world.CallNull(w); });
+    world.par()->RunWorkers(std::chrono::milliseconds(warmup_ms), call_null);
   }
-  lrpc::ParallelMachine::RunReport report = world.par()->RunWorkers(
-      std::chrono::milliseconds(wall_ms),
-      [&world](int w) { return world.CallNull(w); });
+  lrpc::ParallelMachine::RunReport report =
+      world.par()->RunWorkers(std::chrono::milliseconds(wall_ms), call_null);
 
   Row row;
   row.threads = threads;
   row.lock_free = lock_free;
-  row.domain_caching = caching;
-  row.parked = options.parked;
-  row.oversubscribed =
-      static_cast<unsigned>(threads + options.parked) > (hw == 0 ? 1u : hw);
+  row.oversubscribed = static_cast<unsigned>(threads) > (hw == 0 ? 1u : hw);
   row.calls_per_sec = report.calls_per_second;
   row.calls = report.calls;
   row.failed = report.failures;
   row.cas_retries = world.par()->total_cas_retries();
-  row.exchange_claims = world.machine().parallel_idle()->claims();
   return row;
 }
 
 // Median-throughput run of `repeat` trials: one hot trial (CPU frequency
 // ramp, a scheduler hiccup) must not become the committed number.
-Row RunConfig(int threads, bool lock_free, bool caching, int wall_ms,
-              int warmup_ms, int repeat, unsigned hw) {
+Row RunConfig(int threads, bool lock_free, int wall_ms, int warmup_ms,
+              int repeat, unsigned hw) {
   std::vector<Row> trials;
   for (int r = 0; r < repeat; ++r) {
-    trials.push_back(
-        RunConfigOnce(threads, lock_free, caching, wall_ms, warmup_ms, hw));
+    trials.push_back(RunConfigOnce(threads, lock_free, wall_ms, warmup_ms, hw));
   }
   std::sort(trials.begin(), trials.end(), [](const Row& a, const Row& b) {
     return a.calls_per_sec < b.calls_per_sec;
@@ -131,23 +159,18 @@ void WriteJson(std::ostream& out, const std::vector<Row>& rows, unsigned hw,
     const Row& r = rows[i];
     out << "    {\"threads\": " << r.threads
         << ", \"lock_free\": " << (r.lock_free ? "true" : "false")
-        << ", \"domain_caching\": " << (r.domain_caching ? "true" : "false")
-        << ", \"parked\": " << r.parked
         << ", \"oversubscribed\": " << (r.oversubscribed ? "true" : "false")
         << ", \"calls_per_sec\": " << static_cast<std::uint64_t>(r.calls_per_sec)
         << ", \"calls\": " << r.calls << ", \"failed\": " << r.failed
-        << ", \"cas_retries\": " << r.cas_retries
-        << ", \"exchange_claims\": " << r.exchange_claims << "}"
+        << ", \"cas_retries\": " << r.cas_retries << "}"
         << (i + 1 < rows.size() ? "," : "") << "\n";
   }
   out << "  ]\n}\n";
 }
 
-const Row* FindRow(const std::vector<Row>& rows, int threads, bool lock_free,
-                   bool caching) {
+const Row* FindRow(const std::vector<Row>& rows, int threads, bool lock_free) {
   for (const Row& r : rows) {
-    if (r.threads == threads && r.lock_free == lock_free &&
-        r.domain_caching == caching) {
+    if (r.threads == threads && r.lock_free == lock_free) {
       return &r;
     }
   }
@@ -193,22 +216,18 @@ int main(int argc, char** argv) {
   std::printf("mt_throughput: hardware_concurrency=%u wall_ms=%d "
               "warmup_ms=%d repeat=%d max_threads=%d\n\n",
               hw, wall_ms, warmup_ms, repeat, max_threads);
-  std::printf("%8s  %-10s  %-8s  %12s  %8s  %6s\n", "threads", "structures",
-              "caching", "calls/sec", "failed", "oversub");
+  std::printf("%8s  %-10s  %12s  %8s  %6s\n", "threads", "structures",
+              "calls/sec", "failed", "oversub");
 
   std::vector<Row> rows;
   for (int threads = 1; threads <= max_threads; ++threads) {
     for (const bool lock_free : {true, false}) {
-      for (const bool caching : {true, false}) {
-        Row row = RunConfig(threads, lock_free, caching, wall_ms, warmup_ms,
-                            repeat, hw);
-        std::printf("%8d  %-10s  %-8s  %12.0f  %8llu  %6s\n", row.threads,
-                    row.lock_free ? "lock-free" : "one-lock",
-                    row.domain_caching ? "on" : "off", row.calls_per_sec,
-                    static_cast<unsigned long long>(row.failed),
-                    row.oversubscribed ? "yes" : "no");
-        rows.push_back(row);
-      }
+      Row row = RunConfig(threads, lock_free, wall_ms, warmup_ms, repeat, hw);
+      std::printf("%8d  %-10s  %12.0f  %8llu  %6s\n", row.threads,
+                  row.lock_free ? "lock-free" : "one-lock", row.calls_per_sec,
+                  static_cast<unsigned long long>(row.failed),
+                  row.oversubscribed ? "yes" : "no");
+      rows.push_back(row);
     }
   }
 
@@ -225,26 +244,22 @@ int main(int argc, char** argv) {
   if (enforce) {
     int rc = 0;
     // Lock-free must not lose to the single lock at peak contention (the
-    // whole point of per-structure CAS paths). Compare like against like:
-    // same caching mode.
-    for (const bool caching : {true, false}) {
-      const Row* lf = FindRow(rows, max_threads, true, caching);
-      const Row* lk = FindRow(rows, max_threads, false, caching);
-      if (lf == nullptr || lk == nullptr ||
-          lf->calls_per_sec < lk->calls_per_sec) {
-        std::fprintf(stderr,
-                     "ENFORCE FAIL: lock-free (%.0f c/s) < single-lock "
-                     "(%.0f c/s) at %d threads, caching=%d\n",
-                     lf != nullptr ? lf->calls_per_sec : 0.0,
-                     lk != nullptr ? lk->calls_per_sec : 0.0, max_threads,
-                     caching ? 1 : 0);
-        rc = 1;
-      }
+    // whole point of per-structure CAS paths).
+    const Row* lf = FindRow(rows, max_threads, true);
+    const Row* lk = FindRow(rows, max_threads, false);
+    if (lf == nullptr || lk == nullptr ||
+        lf->calls_per_sec < lk->calls_per_sec) {
+      std::fprintf(stderr,
+                   "ENFORCE FAIL: lock-free (%.0f c/s) < single-lock "
+                   "(%.0f c/s) at %d threads\n",
+                   lf != nullptr ? lf->calls_per_sec : 0.0,
+                   lk != nullptr ? lk->calls_per_sec : 0.0, max_threads);
+      rc = 1;
     }
     // Scaling is only a fair ask when the host actually has parallelism.
     if (hw >= 2 && max_threads >= 2) {
-      const Row* one = FindRow(rows, 1, true, false);
-      const Row* many = FindRow(rows, max_threads, true, false);
+      const Row* one = FindRow(rows, 1, true);
+      const Row* many = FindRow(rows, max_threads, true);
       if (one == nullptr || many == nullptr ||
           many->calls_per_sec <= 1.5 * one->calls_per_sec) {
         std::fprintf(stderr,

@@ -105,7 +105,7 @@ void Kernel::DestroyThread(Thread& t) {
 LRPC_FAST_PATH_BEGIN("kernel domain transfer");
 
 Kernel::TransferResult Kernel::EnterDomain(Processor& cpu, Thread& t,
-                                           Domain& target, bool allow_exchange) {
+                                           Domain& target) {
   TransferResult result;
   const VmContextId target_context = target.vm_context();
   if (cpu.loaded_context() == target_context) {
@@ -114,26 +114,9 @@ Kernel::TransferResult Kernel::EnterDomain(Processor& cpu, Thread& t,
     NotifyEvent(KernelEventKind::kTransfer);
     return result;
   }
-  if (domain_caching_ && allow_exchange &&
-      machine_.parallel_idle() != nullptr) {
-    // Real-thread engine: the exchange is a lock-free claim. A successful
-    // claim owns the parked processor outright (no rival can win it), so
-    // the context/TLB swap below races with nothing; re-parking afterwards
-    // releases the mutations to the next claimant.
-    IdleProcessorRegistry& registry = *machine_.parallel_idle();
-    const int idler_id = registry.TryClaimInContext(target_context);
-    if (idler_id >= 0) {
-      Processor& idler = machine_.processor(idler_id);
-      machine_.ExchangeContexts(cpu, idler);
-      registry.Park(idler_id, idler.loaded_context());
-      t.set_current_domain(target.id());
-      result.exchanged = true;
-      NotifyEvent(KernelEventKind::kTransfer);
-      return result;
-    }
-    // No miss counting or prodding here: prodding walks shared processor
-    // state, which only the deterministic driver may do.
-  } else if (domain_caching_ && allow_exchange) {
+  // Only the simulator has VM contexts and TLBs for an idling processor to
+  // keep warm; on the host backends every transfer is the plain switch.
+  if (domain_caching_ && machine_.simulates_costs()) {
     Processor* idler = machine_.FindIdleInContext(target_context);
     // Injection point: the exchange is unavailable — a forced
     // processor-cache miss drops the call onto the switch path.
@@ -167,11 +150,11 @@ Kernel::TransferResult Kernel::EnterDomain(Processor& cpu, Thread& t,
 LRPC_FAST_PATH_END("kernel domain transfer");
 
 void Kernel::ParkIdleProcessor(Processor& cpu, DomainId domain_id) {
+  // EnterDomain never exchanges on a host backend, so a processor parked
+  // there would idle for nothing.
+  LRPC_CHECK(machine_.simulates_costs());
   cpu.LoadContext(domain(domain_id).vm_context());
   machine_.MarkIdle(cpu);
-  if (IdleProcessorRegistry* registry = machine_.parallel_idle()) {
-    registry->Park(cpu.id(), cpu.loaded_context());
-  }
 }
 
 void Kernel::ProdIdleProcessors() {

@@ -146,18 +146,17 @@ class Kernel {
   struct TransferResult {
     bool exchanged = false;  // Idle-processor exchange instead of a switch.
   };
-  // Moves execution of `t` (on `cpu`) into `target`'s VM context. When
-  // domain caching is enabled and `allow_exchange` is set, a processor
+  // Moves execution of `t` (on `cpu`) into `target`'s VM context. When the
+  // machine simulates costs and domain caching is enabled, a processor
   // idling in the target context is exchanged for the caller's processor
   // (charging the cheap exchange instead of the TLB-invalidating switch).
-  TransferResult EnterDomain(Processor& cpu, Thread& t, Domain& target,
-                             bool allow_exchange);
+  TransferResult EnterDomain(Processor& cpu, Thread& t, Domain& target);
 
-  // Domain caching knobs (Section 3.4).
+  // Domain caching knobs (Section 3.4; the simulator only).
   void set_domain_caching(bool enabled) { domain_caching_ = enabled; }
   bool domain_caching() const { return domain_caching_; }
   // Parks `cpu` idling in `domain`'s context so calls into that domain can
-  // use the exchange path.
+  // use the exchange path. Only on a machine that simulates costs.
   void ParkIdleProcessor(Processor& cpu, DomainId domain);
   // Re-points idle processors at the domains showing the most LRPC activity
   // (the per-domain idle-miss counters the kernel keeps).

@@ -202,8 +202,7 @@ void AsyncRing::Flush(Processor& cpu) {
   Domain& server = kernel.domain(bound.server);
 
   // --- One domain transfer into the server (the second amortized cost). ---
-  const bool exchanged_on_call =
-      kernel.EnterDomain(cpu, *t, server, /*allow_exchange=*/true).exchanged;
+  const bool exchanged_on_call = kernel.EnterDomain(cpu, *t, server).exchanged;
 
   // --- Doorbell batching (docs/multiprocess.md): every channel-eligible
   // call crosses into the server process behind a single futex ring. ---
@@ -294,9 +293,7 @@ void AsyncRing::Flush(Processor& cpu) {
   kernel.ChargeTrap(cpu);
   const bool exchanged_on_return =
       !poisoned && !unwound &&
-      kernel
-          .EnterDomain(cpu, *t, kernel.domain(binding_.client()),
-                       /*allow_exchange=*/true)
+      kernel.EnterDomain(cpu, *t, kernel.domain(binding_.client()))
           .exchanged;
   for (Slot& slot : pending) {
     if (!slot.finished) {

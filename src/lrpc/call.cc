@@ -261,10 +261,9 @@ void LrpcRuntime::UnmarshalInline(Processor& cpu, const ProcedureDef& def,
   Domain& server = kernel_.domain(server_id);
 
   // Reload the virtual memory registers with the server domain's — or, on
-  // a multiprocessor, exchange processors with one idling in the server's
-  // context (Section 3.4).
-  cs.exchanged_on_call =
-      kernel_.EnterDomain(cpu, t, server, /*allow_exchange=*/true).exchanged;
+  // a simulated multiprocessor, exchange processors with one idling in the
+  // server's context (Section 3.4).
+  cs.exchanged_on_call = kernel_.EnterDomain(cpu, t, server).exchanged;
   EnterServerStub(cpu, t, server, slot);
   ProcTransport::BatchCall proc_call;
   const bool proc_routed =
@@ -283,9 +282,7 @@ void LrpcRuntime::UnmarshalInline(Processor& cpu, const ProcedureDef& def,
 
   // Switch (or exchange) back into the client; likely exchangeable for
   // calls that return quickly (Section 3.4).
-  cs.exchanged_on_return =
-      kernel_.EnterDomain(cpu, t, *slot.client, /*allow_exchange=*/true)
-          .exchanged;
+  cs.exchanged_on_return = kernel_.EnterDomain(cpu, t, *slot.client).exchanged;
   return ClientReturnHalf(cpu, slot);
 }
 
@@ -606,7 +603,7 @@ Status LrpcRuntime::KernelReturnLeg(Processor& cpu, Thread& t,
   auto resume = [&] {
     Domain* resumed_in = kernel_.FindDomain(t.current_domain());
     if (resumed_in != nullptr) {
-      kernel_.EnterDomain(cpu, t, *resumed_in, /*allow_exchange=*/true);
+      kernel_.EnterDomain(cpu, t, *resumed_in);
     }
     return t.TakeException();
   };

@@ -172,7 +172,10 @@ ChaosResult RunChaosSchedule(const ChaosOptions& options) {
     }
     clients.push_back(std::move(ctx));
   }
-  if (options.processors >= 2 && !servers.empty()) {
+  // Processor 1 idles in the first server's context (Section 3.4), which
+  // only the simulator models.
+  if (machine.simulates_costs() && options.processors >= 2 &&
+      !servers.empty()) {
     kernel.ParkIdleProcessor(machine.processor(1), servers.front().domain);
   }
 

@@ -32,6 +32,8 @@ struct ChaosOptions {
   int servers = 3;           // Server domains, one exported interface each.
   int clients = 3;           // Client domains; each binds to every server.
   int operations = 60;       // Length of the operation stream.
+  // On the simulator, processor 1 of two or more idles in the first
+  // server's context.
   int processors = 2;
   // Probability that any one armed injection point fires.
   double fault_probability = 0.08;

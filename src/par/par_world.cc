@@ -17,16 +17,15 @@ constexpr int kGroupBudgetFactor = 4;  // Over-provision E-stacks per group.
 ParWorld::ParWorld(ParWorldOptions options) : options_(options) {
   LRPC_CHECK(options_.workers >= 1);
   LRPC_CHECK(options_.domains >= 1);
+  LRPC_CHECK(options_.parked == 0);
   if (options_.backend == RuntimeBackend::kDeterministicSim) {
     // The simulator is single-threaded by construction; multiple workers
     // only make sense on the parallel backend.
     LRPC_CHECK(options_.workers == 1);
   }
 
-  machine_ = std::make_unique<Machine>(options_.model,
-                                       options_.workers + options_.parked);
+  machine_ = std::make_unique<Machine>(options_.model, options_.workers);
   kernel_ = std::make_unique<Kernel>(*machine_);
-  kernel_->set_domain_caching(options_.domain_caching);
   runtime_ = std::make_unique<LrpcRuntime>(*kernel_, options_.backend);
   if (options_.backend == RuntimeBackend::kParallelHost) {
     // Before the imports: it fixes the free lists' lock discipline.
@@ -71,11 +70,6 @@ ParWorld::ParWorld(ParWorldOptions options) : options_(options) {
     threads_.push_back(t);
     machine_->processor(w).LoadContext(kernel_->domain(dom).vm_context());
     kernel_->thread(t).set_current_domain(dom);
-  }
-
-  for (int p = 0; p < options_.parked; ++p) {
-    kernel_->ParkIdleProcessor(machine_->processor(options_.workers + p),
-                               server_);
   }
 }
 

@@ -32,11 +32,11 @@ struct ParWorldOptions {
   MachineModel model = MachineModel::CVaxFirefly();
   int workers = 2;
   int domains = 1;  // Client domains; worker w binds through domain w % M.
-  // Processors beyond the workers, parked idling in the server's context
-  // (the Section 3.4 idle supply; claimed lock-free on every call).
+  // Must be 0: no processor idles for the Section 3.4 exchange on a host
+  // backend, and the simulator world has one processor per worker. Kept
+  // only because perfbench/ sets it.
   int parked = 0;
   bool lock_free = true;
-  bool domain_caching = true;
   // Free A-stacks per group per binding: the concurrency the binding admits
   // before calls fail with kAStacksExhausted (no growth in parallel mode).
   int astacks_per_group = 8;

@@ -17,7 +17,6 @@ ParallelMachine::ParallelMachine(LrpcRuntime& runtime, ParallelOptions options)
   // it cannot change once one exists.
   LRPC_CHECK(runtime_.bindings().empty());
   runtime_.kernel().bindings().set_lock_free(options_.lock_free);
-  runtime_.machine().EnableParallelIdle();
 }
 
 ParallelMachine::RunReport ParallelMachine::RunWorkers(

@@ -1,17 +1,12 @@
 // ParallelMachine: the real-thread execution engine (docs/concurrency.md).
 //
 // Maps each simulated Processor onto a dedicated std::thread. Built on a
-// kParallelHost runtime before the world's first import, it fixes the two
-// host-concurrent structures on the LRPC critical path:
-//
-//   A-stack free lists   the lock discipline (Treiber stack, or the
-//                        single-lock baseline) of the ParFreeList Import
-//                        builds per binding per group
-//   idle processors      IdleProcessorRegistry, an atomic slot per cpu that
-//                        makes the Section 3.4 exchange a lock-free claim
-//
+// kParallelHost runtime before the world's first import, it fixes the lock
+// discipline (Treiber stack, or the single-lock baseline) of the kernel's
+// binding table and of the ParFreeList Import builds per binding per group.
 // Binding validation needs no re-routing: the kernel's own table is a
-// seqlock table on every backend (src/kern/binding_table.h).
+// seqlock table on every backend (src/kern/binding_table.h). No processor
+// idles for the Section 3.4 exchange here; only the simulator models it.
 //
 // Workers drive LrpcRuntime::Call on their own Processor; there is no
 // second call path. The deterministic simulator stays the default backend
@@ -33,7 +28,7 @@ namespace lrpc {
 
 struct ParallelOptions {
   // Worker threads; worker w drives machine().processor(w). The machine
-  // must have at least this many processors (extras can be parked idle).
+  // must have at least this many processors.
   int workers = 2;
   // false selects the single-lock baselines (free lists and binding table),
   // the contention reference Figure 3 compares against.
@@ -43,8 +38,8 @@ struct ParallelOptions {
 class ParallelMachine {
  public:
   // Fixes the lock discipline of the kernel's binding table and of every
-  // free list Import will build, and enables the lock-free idle registry.
-  // Single-threaded, before the world's first import.
+  // free list Import will build. Single-threaded, before the world's first
+  // import.
   ParallelMachine(LrpcRuntime& runtime, ParallelOptions options);
 
   struct RunReport {

@@ -1,9 +1,10 @@
 // Machine: a simulated shared-memory multiprocessor.
 //
 // Owns the processors, the cost model, and the idle-processor registry used
-// by the domain-caching optimization (Section 3.4). Also provides the
-// globally-earliest-first stepping order that makes SimLock an exact FIFO
-// contention model for multiprocessor throughput experiments (Figure 2).
+// by the domain-caching optimization (Section 3.4), which only the simulator
+// runs. Also provides the globally-earliest-first stepping order that makes
+// SimLock an exact FIFO contention model for multiprocessor throughput
+// experiments (Figure 2).
 
 #ifndef SRC_SIM_MACHINE_H_
 #define SRC_SIM_MACHINE_H_
@@ -11,7 +12,6 @@
 #include <memory>
 #include <vector>
 
-#include "src/sim/idle_registry.h"
 #include "src/sim/machine_model.h"
 #include "src/sim/processor.h"
 #include "src/sim/time.h"
@@ -64,15 +64,6 @@ class Machine {
   // spin in), or kNoVmContext if there have been no misses.
   VmContextId BusiestMissedContext() const;
 
-  // --- Real-thread idle registry (parallel engine, docs/concurrency.md). ---
-  // Replaces the scan-based registry above with a lock-free one; while
-  // enabled, Kernel::EnterDomain claims idlers through it instead of
-  // FindIdleInContext, and Kernel::ParkIdleProcessor publishes through it.
-  void EnableParallelIdle() {
-    par_idle_ = std::make_unique<IdleProcessorRegistry>(processor_count());
-  }
-  IdleProcessorRegistry* parallel_idle() { return par_idle_.get(); }
-
   // Exchanges the loaded VM contexts (and TLB warmth) of the caller's
   // processor and an idle processor, so the calling thread continues on a
   // processor where the target context is already loaded. Charges the
@@ -101,7 +92,6 @@ class Machine {
   std::vector<std::unique_ptr<Processor>> processors_;
   int active_processors_ = 1;
   std::vector<std::uint64_t> idle_miss_counts_;  // Indexed by VmContextId.
-  std::unique_ptr<IdleProcessorRegistry> par_idle_;
   bool backend_bound_ = false;
   bool simulates_costs_ = true;
 };

@@ -45,8 +45,7 @@ TEST_F(KernelTest, EnterDomainChargesContextSwitch) {
   Processor& cpu = machine_.processor(0);
   cpu.LoadContext(kernel_.domain(a).vm_context());
 
-  auto result = kernel_.EnterDomain(cpu, kernel_.thread(t), kernel_.domain(b),
-                                    /*allow_exchange=*/true);
+  auto result = kernel_.EnterDomain(cpu, kernel_.thread(t), kernel_.domain(b));
   EXPECT_FALSE(result.exchanged);
   EXPECT_EQ(cpu.ledger().total(CostCategory::kContextSwitch),
             machine_.model().context_switch);
@@ -61,8 +60,7 @@ TEST_F(KernelTest, EnterDomainUsesIdleProcessorWhenAvailable) {
   cpu.LoadContext(kernel_.domain(a).vm_context());
   kernel_.ParkIdleProcessor(machine_.processor(1), b);
 
-  auto result = kernel_.EnterDomain(cpu, kernel_.thread(t), kernel_.domain(b),
-                                    /*allow_exchange=*/true);
+  auto result = kernel_.EnterDomain(cpu, kernel_.thread(t), kernel_.domain(b));
   EXPECT_TRUE(result.exchanged);
   EXPECT_EQ(cpu.ledger().total(CostCategory::kContextSwitch), 0);
   EXPECT_EQ(cpu.ledger().total(CostCategory::kProcessorExchange),
@@ -82,8 +80,7 @@ TEST_F(KernelTest, DomainCachingDisabledForcesSwitch) {
   cpu.LoadContext(kernel_.domain(a).vm_context());
   kernel_.ParkIdleProcessor(machine_.processor(1), b);
 
-  auto result = kernel_.EnterDomain(cpu, kernel_.thread(t), kernel_.domain(b),
-                                    /*allow_exchange=*/true);
+  auto result = kernel_.EnterDomain(cpu, kernel_.thread(t), kernel_.domain(b));
   EXPECT_FALSE(result.exchanged);
 }
 
@@ -96,7 +93,7 @@ TEST_F(KernelTest, IdleMissesProdIdlersTowardBusyDomains) {
   // Idle processor parked in the WRONG domain (a, not b).
   kernel_.ParkIdleProcessor(machine_.processor(1), a);
   // A call into b finds no idler there and records a miss...
-  kernel_.EnterDomain(cpu, kernel_.thread(t), kernel_.domain(b), true);
+  kernel_.EnterDomain(cpu, kernel_.thread(t), kernel_.domain(b));
   EXPECT_GT(machine_.idle_misses(kernel_.domain(b).vm_context()), 0u);
   // ...and prodding moves the idler into b's context.
   kernel_.ProdIdleProcessors();

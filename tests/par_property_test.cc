@@ -355,7 +355,6 @@ TEST(BackendEquivalenceProperty, SingleWorkerMatchesSimulatorCallForCall) {
   for (int seed = 0; seed < 50; ++seed) {
     ParWorldOptions par_options;
     par_options.workers = 1;
-    par_options.parked = 1;
     par_options.backend = RuntimeBackend::kParallelHost;
     ParWorldOptions sim_options = par_options;
     sim_options.backend = RuntimeBackend::kDeterministicSim;

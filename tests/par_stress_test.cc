@@ -165,17 +165,6 @@ TEST(ParStress, LockedBaselineSingleDomain) {
   HammerAndAudit(options);
 }
 
-TEST(ParStress, DomainCachingWithParkedProcessors) {
-  ParWorldOptions options;
-  options.workers = 3;
-  options.parked = 2;
-  options.domains = 1;
-  options.astacks_per_group = 8;
-  options.lock_free = true;
-  options.domain_caching = true;
-  HammerAndAudit(options);
-}
-
 TEST(ParStress, TightAStackBudgetExercisesExhaustion) {
   // More workers than A-stacks: the admission path (pop fails, call fails
   // fast, stack returns) runs constantly and must stay balanced.

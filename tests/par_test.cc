@@ -1,12 +1,13 @@
 // Unit tests for the real-thread engine's building blocks: the lock-free
-// (and locked-baseline) A-stack free lists, the idle-processor claim
-// registry, the kernel binding table's two lock modes, and ParWorld, built
-// around a ParallelMachine (docs/concurrency.md).
+// (and locked-baseline) A-stack free lists, the kernel binding table's two
+// lock modes, and ParWorld, built around a ParallelMachine
+// (docs/concurrency.md).
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -16,7 +17,6 @@
 #include "src/par/par_world.h"
 #include "src/par/parallel_machine.h"
 #include "src/shm/par_free_list.h"
-#include "src/sim/idle_registry.h"
 
 namespace lrpc {
 namespace {
@@ -102,28 +102,6 @@ TEST(ParFreeListAba, HeadTagAdvancesOnEveryExchange) {
   list.Push(cpu, *popped);
   EXPECT_NE(list.head_tag(), tag1);
   EXPECT_NE(list.head_tag(), tag0);
-}
-
-TEST(IdleRegistry, ClaimIsExclusiveAndContextKeyed) {
-  IdleProcessorRegistry registry(/*processor_count=*/4);
-  EXPECT_EQ(registry.parked_count(), 0);
-  EXPECT_EQ(registry.TryClaimInContext(VmContextId{2}), -1);
-
-  registry.Park(/*cpu=*/1, VmContextId{2});
-  registry.Park(/*cpu=*/3, VmContextId{5});
-  EXPECT_EQ(registry.parked_count(), 2);
-
-  // Wrong context: the parked set does not satisfy it.
-  EXPECT_EQ(registry.TryClaimInContext(VmContextId{4}), -1);
-  // Right context: claim succeeds exactly once.
-  EXPECT_EQ(registry.TryClaimInContext(VmContextId{2}), 1);
-  EXPECT_EQ(registry.TryClaimInContext(VmContextId{2}), -1);
-  EXPECT_EQ(registry.parked_count(), 1);
-  EXPECT_EQ(registry.claims(), 1u);
-
-  registry.Unpark(3);
-  EXPECT_EQ(registry.TryClaimInContext(VmContextId{5}), -1);
-  EXPECT_EQ(registry.parked_count(), 0);
 }
 
 class BindingTableModeTest : public ::testing::TestWithParam<bool> {};
@@ -261,34 +239,49 @@ TEST(ParWorldTest, BindingImportedAfterTheWorldTakesConcurrentCalls) {
   EXPECT_TRUE(world.par()->AuditConservation().ok());
 }
 
-TEST(ParWorldTest, ParkedProcessorMakesCallsExchange) {
+// Domain caching (Section 3.4) is the simulator's alone: a host call
+// switches contexts on both legs, never looks for an idle processor, and so
+// records no idle miss against either domain.
+TEST(ParWorldTest, HostCallsNeitherExchangeNorCountIdleMisses) {
   ParWorldOptions options;
   options.workers = 1;
-  options.parked = 1;
-  options.domain_caching = true;
   ParWorld world(options);
+  ASSERT_TRUE(world.kernel().domain_caching());
+  const ProcedureDescriptor& add =
+      world.worker_binding(0).interface_spec()->pd(world.add_proc());
+  ASSERT_TRUE(add.inline_eligible);
 
-  CallStats stats;
-  ASSERT_TRUE(world.CallNull(0, &stats).ok());
-  EXPECT_TRUE(stats.exchanged_on_call);
-  EXPECT_GE(world.machine().parallel_idle()->claims(), 1u);
-  // After the round trip the idle supply is replenished: the next call can
-  // exchange again (the §3.4 steady state).
-  ASSERT_TRUE(world.CallNull(0, &stats).ok());
-  EXPECT_TRUE(stats.exchanged_on_call);
-}
-
-TEST(ParWorldTest, CachingOffNeverExchangesAndCountsMisses) {
-  ParWorldOptions options;
-  options.workers = 1;
-  options.parked = 1;
-  options.domain_caching = false;
-  ParWorld world(options);
-
-  CallStats stats;
-  ASSERT_TRUE(world.CallNull(0, &stats).ok());
-  EXPECT_FALSE(stats.exchanged_on_call);
-  EXPECT_FALSE(stats.exchanged_on_return);
+  for (int i = 0; i < 10; ++i) {
+    CallStats null_stats;
+    ASSERT_TRUE(world.CallNull(0, &null_stats).ok());
+    CallStats add_stats;
+    std::int32_t sum = 0;
+    ASSERT_TRUE(world.CallAdd(0, i, 1000, &sum, &add_stats).ok());
+    EXPECT_EQ(sum, i + 1000);
+    CallStats inline_stats;
+    std::uint8_t block[kInlineSlotSpanLimit] = {};
+    const std::int32_t a = i;
+    const std::int32_t b = -7;
+    std::memcpy(block + ParamOffset(*add.def, 0), &a, sizeof(a));
+    std::memcpy(block + ParamOffset(*add.def, 1), &b, sizeof(b));
+    ASSERT_TRUE(world.runtime()
+                    .CallInline(world.machine().processor(0),
+                                world.worker_thread(0), world.worker_binding(0),
+                                world.add_proc(), block, block, &inline_stats)
+                    .ok());
+    std::memcpy(&sum, block + ParamOffset(*add.def, 2), sizeof(sum));
+    EXPECT_EQ(sum, i - 7);
+    for (const CallStats* stats : {&null_stats, &add_stats, &inline_stats}) {
+      EXPECT_FALSE(stats->exchanged_on_call) << "call " << i;
+      EXPECT_FALSE(stats->exchanged_on_return) << "call " << i;
+    }
+  }
+  EXPECT_EQ(world.server_calls_seen(), 30u);
+  for (const DomainId domain : {world.server_domain(), world.client_domain(0)}) {
+    EXPECT_EQ(world.machine().idle_misses(
+                  world.kernel().domain(domain).vm_context()),
+              0u);
+  }
 }
 
 TEST(ParWorldTest, ExhaustionFailsFastInsteadOfGrowing) {
@@ -387,6 +380,10 @@ TEST(RuntimeBackendTest, TheBackendDecidesWhetherTheMachineSimulatesCosts) {
   EXPECT_FALSE(machine.simulates_costs());
   // A simulator runtime here would read a ledger the host calls never fill.
   EXPECT_DEATH(LrpcRuntime sim(kernel), "LRPC_CHECK failed");
+  // A host call never exchanges processors, so none may idle for it.
+  const DomainId server = kernel.CreateDomain({.name = "server"});
+  EXPECT_DEATH(kernel.ParkIdleProcessor(machine.processor(0), server),
+               "LRPC_CHECK failed");
 }
 
 }  // namespace

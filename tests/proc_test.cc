@@ -335,6 +335,51 @@ TEST(ProcBackendTest, ReusedScratchAStacksServeSeededMixedCalls) {
             static_cast<std::uint64_t>(kCalls));
 }
 
+// Domain caching (Section 3.4) is the simulator's alone: a proc call
+// switches contexts on both legs, never looks for an idle processor, and so
+// records no idle miss against either domain.
+TEST(ProcBackendTest, HostCallsNeitherExchangeNorCountIdleMisses) {
+  SKIP_WITHOUT_FORK();
+  ProcWorld world;
+  ASSERT_TRUE(world.ok()) << world.spawn_status().detail();
+  ASSERT_TRUE(world.kernel().domain_caching());
+  const ProcedureDescriptor& add =
+      world.binding().interface_spec()->pd(world.add_proc());
+  ASSERT_TRUE(add.inline_eligible);
+
+  for (int i = 0; i < 10; ++i) {
+    CallStats null_stats;
+    ASSERT_TRUE(world.CallNull(/*server=*/0, &null_stats).ok());
+    CallStats add_stats;
+    std::int32_t sum = 0;
+    ASSERT_TRUE(world.CallAdd(i, 1000, &sum, /*server=*/0, &add_stats).ok());
+    EXPECT_EQ(sum, i + 1000);
+    CallStats inline_stats;
+    std::uint8_t block[kInlineSlotSpanLimit] = {};
+    const std::int32_t a = i;
+    const std::int32_t b = -7;
+    std::memcpy(block + ParamOffset(*add.def, 0), &a, sizeof(a));
+    std::memcpy(block + ParamOffset(*add.def, 1), &b, sizeof(b));
+    ASSERT_TRUE(world.runtime()
+                    .CallInline(world.cpu(), world.client_thread(),
+                                world.binding(), world.add_proc(), block,
+                                block, &inline_stats)
+                    .ok());
+    std::memcpy(&sum, block + ParamOffset(*add.def, 2), sizeof(sum));
+    EXPECT_EQ(sum, i - 7);
+    for (const CallStats* stats : {&null_stats, &add_stats, &inline_stats}) {
+      EXPECT_FALSE(stats->exchanged_on_call) << "call " << i;
+      EXPECT_FALSE(stats->exchanged_on_return) << "call " << i;
+    }
+  }
+  EXPECT_EQ(world.counters().calls.load(std::memory_order_acquire), 30u);
+  for (const DomainId domain : {world.server_domain(), world.client_domain()}) {
+    EXPECT_EQ(world.machine().idle_misses(
+                  world.kernel().domain(domain).vm_context()),
+              0u);
+  }
+}
+
 // --- Peer death: detection, status split, collection, reclamation. ---
 
 TEST(ProcDeathTest, OutOfCallKillIsSeenBySupervisorAndCollected) {
