@@ -18,21 +18,24 @@
 //
 // Measurement discipline (docs/EXPERIMENTS.md "anomaly" note): every
 // configuration first runs an untimed warm-up window (cold page faults,
-// allocator growth, branch training), then the timed window, and the whole
-// thing repeats --repeat times with the median-throughput run reported.
-// The first committed snapshot skipped both and recorded a 28% phantom gap
-// between two configurations whose 1-thread fast paths are identical.
+// allocator growth, branch training), then the timed window. The sweep
+// runs in --repeat rounds, and round r runs every configuration once, so
+// the two terms of a ratio come from the same moments of a host whose
+// speed drifts over seconds. Each row reports its median over rounds. The
+// first committed snapshot skipped the warm-up and the repeats, and
+// recorded a 28% phantom gap between two configurations whose 1-thread
+// fast paths are identical.
 //
 // Flags:
 //   --json <path>    write the JSON matrix here (default: stdout only)
 //   --wall-ms <n>    timed wall budget per configuration (default 300)
 //   --warmup-ms <n>  untimed warm-up before each timed run (default 100)
-//   --repeat <n>     runs per configuration; the median is reported
-//                    (default 3)
+//   --repeat <n>     rounds; each row reports its median (default 3)
 //   --threads <n>    max worker threads (default: max(hardware_concurrency, 2))
-//   --enforce        exit non-zero unless lock-free >= single-lock at max
-//                    threads, and (only when the host has >= 2 cores)
-//                    multi-thread > 1.5x single-thread
+//   --enforce        exit non-zero unless, in the median over rounds of
+//                    each round's own ratios, lock-free >= single-lock at
+//                    max threads, and (only when the host has >= 2 cores)
+//                    max-thread lock-free > 1.5x single-thread lock-free
 
 #include <sched.h>
 
@@ -130,14 +133,16 @@ Row RunConfigOnce(int threads, bool lock_free, int wall_ms, int warmup_ms,
   return row;
 }
 
-// Median-throughput run of `repeat` trials: one hot trial (CPU frequency
-// ramp, a scheduler hiccup) must not become the committed number.
-Row RunConfig(int threads, bool lock_free, int wall_ms, int warmup_ms,
-              int repeat, unsigned hw) {
-  std::vector<Row> trials;
-  for (int r = 0; r < repeat; ++r) {
-    trials.push_back(RunConfigOnce(threads, lock_free, wall_ms, warmup_ms, hw));
-  }
+// The median of `values` (the upper one of an even count).
+double Median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  return values[values.size() / 2];
+}
+
+// The median-throughput trial of one configuration over the rounds: one
+// hot trial (CPU frequency ramp, a scheduler hiccup) must not become the
+// committed number.
+Row MedianRow(std::vector<Row> trials) {
   std::sort(trials.begin(), trials.end(), [](const Row& a, const Row& b) {
     return a.calls_per_sec < b.calls_per_sec;
   });
@@ -166,15 +171,6 @@ void WriteJson(std::ostream& out, const std::vector<Row>& rows, unsigned hw,
         << (i + 1 < rows.size() ? "," : "") << "\n";
   }
   out << "  ]\n}\n";
-}
-
-const Row* FindRow(const std::vector<Row>& rows, int threads, bool lock_free) {
-  for (const Row& r : rows) {
-    if (r.threads == threads && r.lock_free == lock_free) {
-      return &r;
-    }
-  }
-  return nullptr;
 }
 
 }  // namespace
@@ -219,17 +215,51 @@ int main(int argc, char** argv) {
   std::printf("%8s  %-10s  %12s  %8s  %6s\n", "threads", "structures",
               "calls/sec", "failed", "oversub");
 
-  std::vector<Row> rows;
-  for (int threads = 1; threads <= max_threads; ++threads) {
-    for (const bool lock_free : {true, false}) {
-      Row row = RunConfig(threads, lock_free, wall_ms, warmup_ms, repeat, hw);
-      std::printf("%8d  %-10s  %12.0f  %8llu  %6s\n", row.threads,
-                  row.lock_free ? "lock-free" : "one-lock", row.calls_per_sec,
-                  static_cast<unsigned long long>(row.failed),
-                  row.oversubscribed ? "yes" : "no");
-      rows.push_back(row);
+  // trials[c][r]: configuration c in round r. Configuration c runs
+  // 1 + c / 2 threads, lock-free when c is even.
+  const int configs = 2 * max_threads;
+  const auto threads_of = [](int c) { return 1 + c / 2; };
+  const auto lock_free_of = [](int c) { return c % 2 == 0; };
+  std::vector<std::vector<Row>> trials(static_cast<std::size_t>(configs));
+  for (int r = 0; r < repeat; ++r) {
+    for (int c = 0; c < configs; ++c) {
+      trials[static_cast<std::size_t>(c)].push_back(RunConfigOnce(
+          threads_of(c), lock_free_of(c), wall_ms, warmup_ms, hw));
     }
   }
+  std::vector<Row> rows;
+  for (const std::vector<Row>& config : trials) {
+    const Row row = MedianRow(config);
+    std::printf("%8d  %-10s  %12.0f  %8llu  %6s\n", row.threads,
+                row.lock_free ? "lock-free" : "one-lock", row.calls_per_sec,
+                static_cast<unsigned long long>(row.failed),
+                row.oversubscribed ? "yes" : "no");
+    rows.push_back(row);
+  }
+
+  // Each round's own ratios: max-thread lock-free over one-thread
+  // lock-free, and over one-lock at max threads.
+  const auto cps = [&trials](int c, int r) {
+    return trials[static_cast<std::size_t>(c)][static_cast<std::size_t>(r)]
+        .calls_per_sec;
+  };
+  const int lf_one = 0;
+  const int lf_max = configs - 2;
+  const int lk_max = configs - 1;
+  std::vector<double> scaling;
+  std::vector<double> versus_lock;
+  std::printf("\n%8s  %14s  %18s\n", "round", "scaling",
+              "lock-free/one-lock");
+  for (int r = 0; r < repeat; ++r) {
+    scaling.push_back(cps(lf_max, r) / std::max(cps(lf_one, r), 1.0));
+    versus_lock.push_back(cps(lf_max, r) / std::max(cps(lk_max, r), 1.0));
+    std::printf("%8d  %13.2fx  %17.2fx\n", r, scaling.back(),
+                versus_lock.back());
+  }
+  const double median_scaling = Median(scaling);
+  const double median_versus_lock = Median(versus_lock);
+  std::printf("%8s  %13.2fx  %17.2fx\n", "median", median_scaling,
+              median_versus_lock);
 
   if (!json_path.empty()) {
     std::ofstream out(json_path);
@@ -245,28 +275,20 @@ int main(int argc, char** argv) {
     int rc = 0;
     // Lock-free must not lose to the single lock at peak contention (the
     // whole point of per-structure CAS paths).
-    const Row* lf = FindRow(rows, max_threads, true);
-    const Row* lk = FindRow(rows, max_threads, false);
-    if (lf == nullptr || lk == nullptr ||
-        lf->calls_per_sec < lk->calls_per_sec) {
+    if (median_versus_lock < 1.0) {
       std::fprintf(stderr,
-                   "ENFORCE FAIL: lock-free (%.0f c/s) < single-lock "
-                   "(%.0f c/s) at %d threads\n",
-                   lf != nullptr ? lf->calls_per_sec : 0.0,
-                   lk != nullptr ? lk->calls_per_sec : 0.0, max_threads);
+                   "ENFORCE FAIL: lock-free runs %.2fx single-lock at %d "
+                   "threads (median over rounds), below 1x\n",
+                   median_versus_lock, max_threads);
       rc = 1;
     }
     // Scaling is only a fair ask when the host actually has parallelism.
     if (hw >= 2 && max_threads >= 2) {
-      const Row* one = FindRow(rows, 1, true);
-      const Row* many = FindRow(rows, max_threads, true);
-      if (one == nullptr || many == nullptr ||
-          many->calls_per_sec <= 1.5 * one->calls_per_sec) {
+      if (median_scaling <= 1.5) {
         std::fprintf(stderr,
-                     "ENFORCE FAIL: %d-thread lock-free (%.0f c/s) is not "
-                     "> 1.5x single-thread (%.0f c/s)\n",
-                     max_threads, many != nullptr ? many->calls_per_sec : 0.0,
-                     one != nullptr ? one->calls_per_sec : 0.0);
+                     "ENFORCE FAIL: %d-thread lock-free runs %.2fx "
+                     "single-thread (median over rounds), not > 1.5x\n",
+                     max_threads, median_scaling);
         rc = 1;
       }
     } else {

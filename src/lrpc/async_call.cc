@@ -211,8 +211,8 @@ void AsyncRing::Flush(Processor& cpu) {
   const bool proc_routed = runtime_.ProcRouted(bound);
   for (Slot& slot : pending) {
     slot.proc = nullptr;
-    if (proc_routed && !slot.finished &&
-        runtime_.ProcCallOf(slot, proc_calls[proc_count])) {
+    if (proc_routed && !slot.finished) {
+      proc_calls[proc_count] = LrpcRuntime::ProcCallOf(slot);
       slot.proc = &proc_calls[proc_count++];
     }
   }

@@ -266,9 +266,9 @@ void LrpcRuntime::UnmarshalInline(Processor& cpu, const ProcedureDef& def,
   cs.exchanged_on_call = kernel_.EnterDomain(cpu, t, server).exchanged;
   EnterServerStub(cpu, t, server, slot);
   ProcTransport::BatchCall proc_call;
-  const bool proc_routed =
-      ProcRouted(**record) && ProcCallOf(slot, proc_call);
+  const bool proc_routed = ProcRouted(**record);
   if (proc_routed) {
+    proc_call = ProcCallOf(slot);
     proc_call.leg = proc_->Execute(
         server_id, slot.client->id(), procedure, proc_call.inline_window,
         proc_call.window, proc_call.window_len, &proc_call.handler_status,
@@ -392,7 +392,8 @@ Result<BindingRecord*> LrpcRuntime::ValidateBinding(
 // the checks of the Binding Object's record, the procedure identifier and
 // the A-stack. The primary region validates with a simple range check;
 // secondary regions (later allocations) take slightly more time (Section
-// 5.2).
+// 5.2). On the multi-process backend, a call the server process's channel
+// cannot carry ends here too.
 Status LrpcRuntime::KernelCallLeg(Processor& cpu,
                                   const Result<BindingRecord*>& record,
                                   const CallSlot& slot) {
@@ -419,6 +420,11 @@ Status LrpcRuntime::KernelCallLeg(Processor& cpu,
   const Result<int> index = astack.region->ValidateOffset(astack.offset());
   if (!index.ok() || *index != astack.index) {
     return Status(ErrorCode::kInvalidAStack);
+  }
+  if (backend_ == RuntimeBackend::kMultiProcess &&
+      ProcRefuses(**record, slot)) {
+    return Status(ErrorCode::kMessageTooLarge,
+                  "the server process's channel cannot carry this call");
   }
   return Status::Ok();
 }
@@ -485,27 +491,31 @@ bool LrpcRuntime::ProcRouted(const BindingRecord& record) const {
          proc_->Serves(record.server);
 }
 
-// Fills `call` with the marshaled window that crosses the channel, and
-// returns true. Calls the channel cannot carry (out-of-band segments,
-// oversized windows) execute in-process as on the other backends.
-bool LrpcRuntime::ProcCallOf(const CallSlot& slot,
-                             ProcTransport::BatchCall& call) {
-  if (!slot.oob.empty()) {
-    return false;
-  }
+// True for a call to a server process that its channel cannot carry: one
+// with out-of-band segments (Section 5.2), or a window over the channel's
+// payload. The kernel call leg refuses it rather than run the handler in
+// the client process. The cheap tests come first, so a call the channel
+// carries pays no transport lookup here.
+bool LrpcRuntime::ProcRefuses(const BindingRecord& record,
+                              const CallSlot& slot) const {
+  return proc_ != nullptr &&
+         (!slot.oob.empty() ||
+          ProcCallOf(slot).window_len > proc_->payload_capacity()) &&
+         proc_->Serves(record.server);
+}
+
+// The window of `slot`'s call that crosses the channel: the linkage
+// record's register window for an inline call, the whole A-stack otherwise.
+ProcTransport::BatchCall LrpcRuntime::ProcCallOf(const CallSlot& slot) {
   const bool inline_window = slot.win != nullptr;
-  const std::size_t window_len =
-      inline_window ? slot.pd->slot_span : slot.pd->astack_size;
-  if (window_len > proc_->payload_capacity()) {
-    return false;
-  }
+  ProcTransport::BatchCall call;
   call.procedure = slot.procedure;
   call.inline_window = inline_window;
   call.window = inline_window ? slot.astack.linkage().regs
                               : slot.astack.region->segment().DataUnchecked() +
                                     slot.astack.offset();
-  call.window_len = window_len;
-  return true;
+  call.window_len = inline_window ? slot.pd->slot_span : slot.pd->astack_size;
+  return call;
 }
 
 // A FaultKind::kPeerProcessDeath injection arms one kill for the next

@@ -10,9 +10,15 @@
 // (supervised_call.h): lrpc_core declares the abstract class, src/proc
 // implements it, and nothing in the core links against process plumbing.
 //
+// A call the channel cannot carry — one with out-of-band segments, or a
+// window over payload_capacity() — never reaches the transport: the kernel
+// call leg refuses it with kMessageTooLarge, so no call to a server process
+// runs its handler in the client process.
+//
 // Execute()'s return value describes the transport leg, not the handler:
-//   kOk          the server process ran the handler; `window` holds the
-//                result bytes and *handler_status the handler's own Status.
+//   kOk          the server process ran the handler; *handler_status is the
+//                handler's own Status, and when that is ok `window` holds
+//                the result bytes.
 //   kPeerDied    the server process died before accepting the call — the
 //                handler never ran, so the failure is retryable.
 //   kCallFailed  the server process died after accepting the call — the
@@ -58,8 +64,8 @@ class ProcTransport {
   // True when `server` has a live forked process behind it.
   virtual bool Serves(DomainId server) const = 0;
 
-  // Largest argument/result window Execute can move through the shared
-  // channel; calls that need more (out-of-band segments) stay in-process.
+  // Largest argument/result window one call moves through the shared
+  // channel; the runtime refuses calls that need more.
   virtual std::size_t payload_capacity() const = 0;
 
   // Forks a server process for `server` executing `iface`'s handlers.
@@ -69,7 +75,8 @@ class ProcTransport {
   // One domain transfer: ship `window` (the marshaled A-stack bytes, or the
   // linkage register window when `inline_window`) to `server`'s process,
   // wait on the return doorbell, and copy the result bytes back into
-  // `window`. `kill` arms a deliberate SIGKILL at the given phase.
+  // `window`. `kill` arms a deliberate SIGKILL at the given phase. This is
+  // ExecuteBatch on a batch of one.
   virtual Status Execute(DomainId server, DomainId client, int procedure,
                          bool inline_window, std::uint8_t* window,
                          std::size_t window_len, Status* handler_status,
@@ -86,31 +93,17 @@ class ProcTransport {
     Status handler_status;  // The handler's own Status when `leg` is ok.
   };
 
-  // Batched submission/return legs: ship `calls` to `server`'s process,
-  // amortizing the doorbell wake pair across the batch, and triage each
-  // call individually on peer death (never accepted => kPeerDied,
-  // retryable; accepted but not finished => kCallFailed; finished => the
-  // handler's real result). Per-call outcomes land in each entry's
-  // `leg`/`handler_status`; the return value reports only a transport-setup
-  // failure of the batch as a whole. `kill` arms at most one SIGKILL for
-  // the whole batch. The default implementation loops Execute, preserving
-  // exact semantics for transports that predate batching; ProcHost
-  // overrides it with the single-doorbell protocol (src/proc/proc_host.cc).
+  // Batched submission/return legs: ship `calls` to `server`'s process
+  // behind one doorbell wake pair, and triage each call individually on
+  // peer death (never accepted => kPeerDied, retryable; accepted but not
+  // finished => kCallFailed; finished => the handler's real result).
+  // Per-call outcomes land in each entry's `leg`/`handler_status`; the
+  // return value reports only a failure of the batch as a whole, which
+  // every `leg` carries too. `kill` arms at most one SIGKILL for the whole
+  // batch.
   virtual Status ExecuteBatch(DomainId server, DomainId client,
                               std::span<BatchCall> calls,
-                              KillPhase kill = KillPhase::kNone) {
-    for (BatchCall& call : calls) {
-      if (!Serves(server)) {
-        call.leg = Status(ErrorCode::kPeerDied, "server process already dead");
-        continue;
-      }
-      call.leg = Execute(server, client, call.procedure, call.inline_window,
-                         call.window, call.window_len, &call.handler_status,
-                         kill);
-      kill = KillPhase::kNone;  // At most one induced death per batch.
-    }
-    return Status::Ok();
-  }
+                              KillPhase kill = KillPhase::kNone) = 0;
 
   // Idempotent teardown hook: the runtime's TerminateDomain calls this so a
   // termination initiated from the simulated side also kills, reaps and

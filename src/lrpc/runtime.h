@@ -297,7 +297,8 @@ class LrpcRuntime {
                                   const ClientBinding& binding);
 
   // Kernel call leg: the Binding Object (validated once per call, or once
-  // per batch), the procedure and the A-stack are checked; the linkage is
+  // per batch), the procedure and the A-stack are checked, and a call a
+  // server process's channel cannot carry is refused; the linkage is
   // claimed and pushed; an E-stack is associated.
   Result<BindingRecord*> ValidateBinding(const ClientBinding& binding);
   Status KernelCallLeg(Processor& cpu, const Result<BindingRecord*>& record,
@@ -313,7 +314,8 @@ class LrpcRuntime {
   void EnterServerStub(Processor& cpu, Thread& t, Domain& server,
                        const CallSlot& slot);
   bool ProcRouted(const BindingRecord& record) const;
-  bool ProcCallOf(const CallSlot& slot, ProcTransport::BatchCall& call);
+  bool ProcRefuses(const BindingRecord& record, const CallSlot& slot) const;
+  static ProcTransport::BatchCall ProcCallOf(const CallSlot& slot);
   ProcTransport::KillPhase InjectedKillPhase();
   bool ReadProcLeg(const ProcTransport::BatchCall& call, CallSlot& slot);
   void ServerLeg(Processor& cpu, Thread& t, DomainId server, CallSlot& slot,

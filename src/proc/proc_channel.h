@@ -2,22 +2,30 @@
 // and one forked server domain (docs/multiprocess.md).
 //
 // One channel per server endpoint, placement-new'd into a ProcSegment
-// before fork so both sides address the same object. The protocol is three
-// monotonic sequence words behind futex doorbells:
+// before fork so both sides address the same object. Every transfer ships
+// a batch of calls, and a synchronous call is a batch of one. The protocol
+// is three monotonic sequence words behind futex doorbells:
 //
-//   call_seq    the client publishes a call (payload + header written
-//               first, then the release store; the server's acquire load
-//               makes the payload visible).
-//   accept_seq  the server bumps it when it dequeues the call — the word
+//   call_seq    the client publishes a batch (entries written first, then
+//               the seq_cst increment; the server's acquire load makes the
+//               entries visible).
+//   accept_seq  the server bumps it when it dequeues the batch — the word
 //               that splits peer death into "before accept" (kPeerDied,
-//               retryable: the handler never ran) and "after accept"
-//               (kCallFailed: the handler may have run).
-//   return_seq  the server publishes the results (payload written first,
-//               release store, futex wake; the client's acquire read pairs).
+//               retryable: no handler ran) and "after accept" (each entry's
+//               `status` word decides).
+//   return_seq  the server publishes the results (entries written first,
+//               seq_cst increment, futex wake; the client's acquire read
+//               pairs).
 //
-// One call is outstanding per channel at a time (the parent serializes), so
-// the plain header fields need no ordering of their own: they are written
-// strictly before the sequence store that publishes them.
+// `payload` is the batch's arena: each entry is a ProcEntry header followed
+// by its window, and the next entry starts at the next 4-byte boundary. The
+// server publishes each entry's `status` word after the entry's results, so
+// after a mid-batch death the client can tell the finished entries from the
+// rest.
+//
+// One batch is outstanding per channel at a time (the parent serializes),
+// so the plain fields need no ordering of their own: they are written
+// strictly before the sequence increment that publishes them.
 
 #ifndef SRC_PROC_PROC_CHANNEL_H_
 #define SRC_PROC_PROC_CHANNEL_H_
@@ -25,14 +33,18 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <new>
 #include <type_traits>
 
 namespace lrpc {
 
-// Largest argument/result window the channel carries. Calls that need more
-// (out-of-band segments, oversized A-stacks) execute in-process instead —
-// the same "uncommon case falls off the fast path" shape as Section 5.2.
+// Largest argument/result window one call carries across the channel. The
+// runtime refuses a call with a larger window, or with out-of-band
+// segments, with kMessageTooLarge (LrpcRuntime::KernelCallLeg).
 inline constexpr std::size_t kProcPayloadBytes = 4096;
+
+// Most calls one batch carries: an AsyncRing flush of its full depth.
+inline constexpr std::uint32_t kProcBatchMax = 16;  // == AsyncRing::kMaxDepth.
 
 // Deliberate-death modes for the chaos schedules (FaultKind::
 // kPeerProcessDeath): the server process SIGKILLs itself at the named
@@ -42,27 +54,38 @@ inline constexpr std::uint32_t kProcDieNone = 0;
 inline constexpr std::uint32_t kProcDieInServerBody = 1;
 inline constexpr std::uint32_t kProcDieAfterReturn = 2;
 
-// Batched calls (docs/async.md): an AsyncRing's flush leg ships up to
-// kProcBatchMax calls behind ONE call_seq ring and ONE return_seq ring —
-// the doorbell wake pair is amortized across the batch. Each entry carries
-// its own window slice plus a per-entry `done` word, so a mid-batch death
-// can be triaged call by call (finished entries keep their real results).
-inline constexpr std::uint32_t kProcBatchMax = 16;  // == AsyncRing::kMaxDepth.
-inline constexpr std::size_t kProcBatchEntryBytes = 1024;
+// An entry's status word before the server finishes the entry.
+inline constexpr std::uint32_t kProcPending = 0;
 
-struct ProcBatchEntry {
+// The header of one call in the arena; the call's window follows it.
+struct ProcEntry {
   std::int32_t procedure = -1;
-  std::uint32_t inline_window = 0;  // 1: payload is the register window.
-  std::uint32_t payload_len = 0;
-  std::int32_t handler_code = 0;  // ErrorCode of the handler's own Status.
-  // The server's release store publishes this entry's result bytes; the
-  // client reads it (acquire) after a peer death to learn which entries
-  // finished before the corpse.
-  std::atomic<std::uint32_t> done{0};
-  std::uint8_t payload[kProcBatchEntryBytes] = {};
+  std::uint32_t inline_window = 0;  // 1: the window is the register window.
+  std::uint32_t window_len = 0;
+  // kProcPending until the server finishes the entry, then 1 + the
+  // ErrorCode of the handler's own Status. The server's release store
+  // publishes the entry's results with it; the client's acquire load reads
+  // both, and after a peer death tells the finished entries from the rest.
+  std::atomic<std::uint32_t> status{kProcPending};
 };
 
+// Arena bytes of an entry with a `window_len`-byte window: the header, then
+// the window rounded up so the next header stays aligned.
+constexpr std::size_t ProcEntryBytes(std::size_t window_len) {
+  constexpr std::size_t kAlign = alignof(ProcEntry);
+  return sizeof(ProcEntry) + (window_len + kAlign - 1) / kAlign * kAlign;
+}
+
+// A full batch of the largest windows fits.
+inline constexpr std::size_t kProcArenaBytes =
+    kProcBatchMax * ProcEntryBytes(kProcPayloadBytes);
+
 struct ProcChannel {
+  // User-provided, so even a value-initializing `new ProcChannel()` leaves
+  // the arena to the zero-filled mapping: building a channel writes only
+  // its first page.
+  ProcChannel() {}
+
   std::atomic<std::uint32_t> call_seq{0};
   std::atomic<std::uint32_t> accept_seq{0};
   std::atomic<std::uint32_t> return_seq{0};
@@ -70,25 +93,30 @@ struct ProcChannel {
   // ringer skips the futex syscall while its partner is still polling.
   std::atomic<std::uint32_t> call_sleepers{0};
   std::atomic<std::uint32_t> return_sleepers{0};
-  // Graceful-shutdown flag, polled by the server between calls.
+  // Graceful-shutdown flag, polled by the server between batches.
   std::atomic<std::uint32_t> shutdown{0};
 
-  // --- Per-call header, written by the client before the call_seq store. ---
+  // --- Per-batch header, written by the client before the call_seq store. ---
   std::uint32_t die_mode = kProcDieNone;
-  std::int32_t procedure = -1;
   std::int32_t client_domain = -1;
-  std::int32_t caller_thread = -1;
-  std::uint32_t inline_window = 0;  // 1: payload is the register window.
-  std::uint32_t payload_len = 0;
-  // >0: batch mode — serve `batch[0..batch_count)` and ignore the single-
-  // call fields above (except die_mode/client_domain/caller_thread).
   std::uint32_t batch_count = 0;
+  // Puts entry 0's header, status word included, on the doorbells' cache
+  // line and its window at the start of the next one, so a synchronous
+  // call's arguments and results never share a line with the words both
+  // processes poll. In scratch runs a window starting on that line made
+  // perfbench's proc_call median 8-16% slower.
+  std::uint32_t reserved[3] = {};
 
-  // --- Per-call result, written by the server before the return_seq store. ---
-  std::int32_t handler_code = 0;  // ErrorCode of the handler's own Status.
+  // The batch arena (see the file comment).
+  alignas(ProcEntry) std::uint8_t payload[kProcArenaBytes];
 
-  std::uint8_t payload[kProcPayloadBytes] = {};
-  ProcBatchEntry batch[kProcBatchMax];
+  // The entry `offset` bytes into the arena, and its window.
+  ProcEntry& entry(std::size_t offset) {
+    return *std::launder(reinterpret_cast<ProcEntry*>(payload + offset));
+  }
+  std::uint8_t* window(std::size_t offset) {
+    return payload + offset + sizeof(ProcEntry);
+  }
 };
 
 // The doorbells must be plain lock-free words for the cross-process futexes
@@ -97,6 +125,8 @@ static_assert(std::atomic<std::uint32_t>::is_always_lock_free,
               "proc channel doorbells must be address-free");
 static_assert(std::is_trivially_destructible_v<ProcChannel>,
               "the channel lives in a shared mapping and is never destroyed");
+static_assert(offsetof(ProcChannel, payload) + sizeof(ProcEntry) == 64,
+              "entry 0's window must start the channel's second cache line");
 
 // The handshake the server process sends over the UNIX-domain control
 // socket right after fork: it announces the export it serves, and the

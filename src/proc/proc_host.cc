@@ -6,6 +6,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -53,11 +54,14 @@ bool ReadFullWithDeadline(int fd, void* buffer, std::size_t len,
   return true;
 }
 
-// The handler status a server process wrote into the shared channel, read
-// once. The server can write any value there; one that names no ErrorCode
-// reads as kCallFailed, since the handler ran but its status is unreadable.
-Status DecodeHandlerCode(std::int32_t code) {
-  if (code < 0 || code > std::numeric_limits<std::uint8_t>::max() ||
+// The handler status a server process wrote into an entry's status word
+// (1 + its ErrorCode), read once. The server can write any value there; one
+// that names no ErrorCode reads as kCallFailed, since the handler ran but
+// its status is unreadable.
+Status DecodeHandlerStatus(std::uint32_t status) {
+  const std::uint32_t code = status - 1;
+  if (status == kProcPending ||
+      code > std::numeric_limits<std::uint8_t>::max() ||
       ErrorCodeName(static_cast<ErrorCode>(code)) == "kUnknown") {
     return Status(ErrorCode::kCallFailed,
                   "server wrote a handler status that names no error code");
@@ -127,8 +131,9 @@ ProcHost::~ProcHost() {
 }
 
 bool ProcHost::Serves(DomainId server) const {
-  // Dead-pending endpoints still count: the next call must reach Execute
-  // (and get kPeerDied) instead of silently running in-process.
+  // Dead-pending endpoints still count: the next call must reach the
+  // channel and get kPeerDied, and a call the channel cannot carry must be
+  // refused, not run in the client process.
   return Find(server) != nullptr;
 }
 
@@ -251,9 +256,10 @@ Status ProcHost::SpawnServer(DomainId server, const Interface* iface) {
   close(self.ctl_fd);
 
   // One scratch A-stack per procedure, built before the first call and
-  // reused by every call: the child allocates nothing per call, so its
-  // latency does not depend on the heap it inherited from the client at
-  // fork. No client domain maps them; the window crosses in the channel.
+  // reused by every call, so no call allocates an A-stack on the heap the
+  // child inherited from the client at fork (ServerFrame still sizes its
+  // slot table per call). No client domain maps them; the window crosses
+  // in the channel.
   std::vector<std::unique_ptr<AStackRegion>> scratch;
   for (int p = 0; p < self.iface->procedure_count(); ++p) {
     scratch.push_back(std::make_unique<AStackRegion>(
@@ -266,8 +272,8 @@ Status ProcHost::SpawnServer(DomainId server, const Interface* iface) {
   std::uint32_t handled = 0;
   for (;;) {
     // Not a seqlock: call_seq is a monotonic doorbell with one outstanding
-    // call per channel, so the header fields it publishes are stable until
-    // the server bumps return_seq.
+    // batch per channel, so the entries it publishes are stable until the
+    // server bumps return_seq.
     std::uint32_t seen = ch->call_seq.load(  // NOLINT(lrpc-seqlock-recheck)
         std::memory_order_acquire);
     while (seen == handled) {
@@ -279,52 +285,37 @@ Status ProcHost::SpawnServer(DomainId server, const Interface* iface) {
                                       handled, 50);
     }
 
-    // Accept: from here on, a death is mid-call (kCallFailed), not
-    // pre-accept (kPeerDied) — the word the client's status split reads.
+    // Accept: from here on, a death is mid-batch, and the client triages
+    // each entry by its status word instead of failing the batch retryable.
     ch->accept_seq.fetch_add(1, std::memory_order_acq_rel);
     const std::uint32_t die = ch->die_mode;
-    const std::uint32_t batch = ch->batch_count;
+    const std::uint32_t count = std::min(ch->batch_count, kProcBatchMax);
 
-    if (batch > 0) {
-      // Batched mode (docs/async.md): serve every entry, then ring the
-      // return doorbell ONCE — the wake pair the batch amortizes. A
-      // mid-body death lands halfway through, so the client's per-entry
-      // triage sees finished and unfinished calls in the same corpse.
-      for (std::uint32_t i = 0; i < batch && i < kProcBatchMax; ++i) {
-        if (die == kProcDieInServerBody && i == batch / 2) {
-          kill(getpid(), SIGKILL);
-        }
-        ProcBatchEntry& entry = ch->batch[i];
-        const Status handler_status = ChildRunHandler(
-            self, cpu, scratch, entry.procedure, entry.inline_window != 0,
-            entry.payload, entry.payload_len, kProcBatchEntryBytes);
-        entry.handler_code = static_cast<std::int32_t>(handler_status.code());
-        entry.done.store(1, std::memory_order_release);
-      }
-      handled = seen;
-      ch->return_seq.fetch_add(1, std::memory_order_seq_cst);
-      FutexDoorbell::Wake(&ch->return_seq, &ch->return_sleepers);
-      if (die == kProcDieAfterReturn) {
+    // Serve every entry, then ring the return doorbell once. A chaos death
+    // "in the server body" lands before entry count/2 — before the handler
+    // of a batch of one — so a batch's corpse holds finished and unfinished
+    // entries alike.
+    std::size_t offset = 0;
+    for (std::uint32_t i = 0;
+         i < count && offset + sizeof(ProcEntry) <= kProcArenaBytes; ++i) {
+      if (die == kProcDieInServerBody && i == count / 2) {
         kill(getpid(), SIGKILL);
       }
-      continue;
+      ProcEntry& entry = ch->entry(offset);
+      const std::size_t len = entry.window_len;
+      const Status handler_status = ChildRunHandler(
+          self, cpu, scratch, entry.procedure, entry.inline_window != 0,
+          ch->window(offset), len,
+          kProcArenaBytes - offset - sizeof(ProcEntry));
+      entry.status.store(1 + static_cast<std::uint32_t>(handler_status.code()),
+                         std::memory_order_release);
+      offset += ProcEntryBytes(len);
     }
-
-    if (die == kProcDieInServerBody) {
-      // Chaos schedule: die "inside the handler", after accepting.
-      kill(getpid(), SIGKILL);
-    }
-
-    const Status handler_status = ChildRunHandler(
-        self, cpu, scratch, ch->procedure, ch->inline_window != 0,
-        ch->payload, ch->payload_len, kProcPayloadBytes);
-
-    ch->handler_code = static_cast<std::int32_t>(handler_status.code());
     handled = seen;
     ch->return_seq.fetch_add(1, std::memory_order_seq_cst);
     FutexDoorbell::Wake(&ch->return_seq, &ch->return_sleepers);
     if (die == kProcDieAfterReturn) {
-      // Chaos schedule: the call itself succeeded; die right after the
+      // Chaos schedule: the batch itself succeeded; die right after the
       // return doorbell so the *next* call finds a corpse.
       kill(getpid(), SIGKILL);
     }
@@ -334,7 +325,7 @@ Status ProcHost::SpawnServer(DomainId server, const Interface* iface) {
 Status ProcHost::ChildRunHandler(
     Endpoint& self, Processor& cpu,
     std::span<const std::unique_ptr<AStackRegion>> scratch, int procedure,
-    bool inline_window, std::uint8_t* payload, std::size_t len,
+    bool inline_window, std::uint8_t* window, std::size_t len,
     std::size_t capacity) {
   if (procedure < 0 || procedure >= self.iface->procedure_count()) {
     return Status(ErrorCode::kNoSuchProcedure);
@@ -342,34 +333,36 @@ Status ProcHost::ChildRunHandler(
   const ProcedureDescriptor& pd = self.iface->pd(procedure);
   const ProcedureDef& def = *pd.def;
   const auto client = static_cast<DomainId>(self.channel->client_domain);
-  const auto caller = static_cast<ThreadId>(self.channel->caller_thread);
   // `len` comes from memory the client process can write. An honest client
   // sends exactly the procedure's window (LrpcRuntime::ProcCallOf): the
   // register window for an inline call, the whole A-stack otherwise. Any
-  // other length could overrun the scratch A-stack or the payload area, or
-  // leave the reused A-stack holding bytes of an earlier call.
-  const std::size_t window = inline_window ? pd.slot_span : pd.astack_size;
-  if ((inline_window && !pd.inline_eligible) || len != window ||
+  // other length could overrun the scratch A-stack or the arena, or leave
+  // the reused A-stack holding bytes of an earlier call.
+  const std::size_t expected = inline_window ? pd.slot_span : pd.astack_size;
+  if ((inline_window && !pd.inline_eligible) || len != expected ||
       len > capacity) {
     return Status(ErrorCode::kInvalidArgument,
                   "argument window is not the procedure's A-stack");
   }
+  // The handler runs on the server's own copy of the window, never on the
+  // shared bytes, so the client cannot change an argument the handler has
+  // read: the scratch A-stack for a marshaled call, that A-stack's linkage
+  // register window for an inline call.
   AStackRegion& region = *scratch[static_cast<std::size_t>(procedure)];
   const AStackRef ref{&region, 0};
-  ServerFrame frame(nullptr, cpu, def, ref, self.domain, client, caller,
+  std::uint8_t* own =
+      inline_window ? ref.linkage().regs : region.segment().DataUnchecked();
+  std::memcpy(own, window, len);
+  ServerFrame frame(nullptr, cpu, def, ref, self.domain, client, kNoThread,
                     nullptr);
   if (inline_window) {
-    frame.AttachRegisterWindow(payload);
-  } else if (len > 0) {
-    std::memcpy(region.segment().DataUnchecked(), payload, len);
+    frame.AttachRegisterWindow(own);
   }
   Status handler_status = frame.PrepareArguments();
   if (handler_status.ok() && def.handler) {
     handler_status = def.handler(frame);
   }
-  if (!inline_window && len > 0) {
-    std::memcpy(payload, region.segment().DataUnchecked(), len);
-  }
+  std::memcpy(window, own, len);
   return handler_status;
 }
 
@@ -377,50 +370,120 @@ Status ProcHost::Execute(DomainId server, DomainId client, int procedure,
                          bool inline_window, std::uint8_t* window,
                          std::size_t window_len, Status* handler_status,
                          KillPhase kill_phase) {
+  BatchCall call{.procedure = procedure,
+                 .inline_window = inline_window,
+                 .window = window,
+                 .window_len = window_len};
+  (void)ExecuteBatch(server, client, std::span<BatchCall>(&call, 1),
+                     kill_phase);
+  *handler_status = call.handler_status;
+  return call.leg;
+}
+
+Status ProcHost::ExecuteBatch(DomainId server, DomainId client,
+                              std::span<BatchCall> calls,
+                              KillPhase kill_phase) {
+  // Ends every call of the batch with the same transport-leg status.
+  auto fail_all = [&calls](ErrorCode code, const char* detail) {
+    for (BatchCall& call : calls) {
+      call.leg = Status(code, detail);
+    }
+    return Status(code, detail);
+  };
+  if (calls.empty()) {
+    return Status::Ok();
+  }
+  if (calls.size() > kProcBatchMax ||
+      std::any_of(calls.begin(), calls.end(), [](const BatchCall& call) {
+        return call.window_len > kProcPayloadBytes;
+      })) {
+    return fail_all(ErrorCode::kMessageTooLarge,
+                    "batch exceeds the channel's arena");
+  }
   Endpoint* ep = Find(server);
   if (ep == nullptr) {
-    return Status(ErrorCode::kNoSuchDomain, "no process endpoint");
-  }
-  if (window_len > kProcPayloadBytes) {
-    return Status(ErrorCode::kMessageTooLarge,
-                  "argument window exceeds the channel payload");
+    return fail_all(ErrorCode::kNoSuchDomain, "no process endpoint");
   }
   if (ep->dead_pending || !ep->live) {
     // A corpse detected earlier (post-return self-kill, or an out-of-call
-    // death not yet collected): the call never reaches the server, so this
+    // death not yet collected): the batch never reaches the server, so this
     // is a pre-accept death — retryable.
     MarkDead(*ep);
-    return Status(ErrorCode::kPeerDied, "server process already dead");
+    (void)fail_all(ErrorCode::kPeerDied, "server process already dead");
+    return Status::Ok();
   }
   if (kill_phase == KillPhase::kBeforeAccept) {
-    // Chaos schedule: kill before ringing the doorbell, so the handler
-    // provably never runs.
+    // Chaos schedule: kill before ringing the doorbell, so no handler
+    // provably runs.
     kill(ep->pid, SIGKILL);
     MarkDead(*ep);
-    return Status(ErrorCode::kPeerDied,
-                  "server process died before accepting the call");
+    (void)fail_all(ErrorCode::kPeerDied,
+                   "server process died before accepting the call");
+    return Status::Ok();
   }
 
   ProcChannel* ch = ep->channel;
   ch->die_mode = kill_phase == KillPhase::kInServerBody ? kProcDieInServerBody
                  : kill_phase == KillPhase::kAfterReturn ? kProcDieAfterReturn
                                                          : kProcDieNone;
-  ch->procedure = procedure;
   ch->client_domain = static_cast<std::int32_t>(client);
-  ch->caller_thread = static_cast<std::int32_t>(kNoThread);
-  ch->inline_window = inline_window ? 1u : 0u;
-  ch->payload_len = static_cast<std::uint32_t>(window_len);
-  ch->batch_count = 0;  // Single-call mode.
-  if (window_len > 0) {
-    std::memcpy(ch->payload, window, window_len);
+  ch->batch_count = static_cast<std::uint32_t>(calls.size());
+  std::size_t offset = 0;
+  for (const BatchCall& call : calls) {
+    ProcEntry& entry = ch->entry(offset);
+    entry.procedure = call.procedure;
+    entry.inline_window = call.inline_window ? 1u : 0u;
+    entry.window_len = static_cast<std::uint32_t>(call.window_len);
+    // Ordered by the call_seq increment below, like the plain fields.
+    // LRPC_MO(pre-publish-reset)
+    entry.status.store(kProcPending, std::memory_order_relaxed);
+    if (call.window_len > 0) {
+      std::memcpy(ch->window(offset), call.window, call.window_len);
+    }
+    offset += ProcEntryBytes(call.window_len);
   }
   const std::uint32_t accepted_before =
       ch->accept_seq.load(std::memory_order_acquire);
   const std::uint32_t returned_before =
       ch->return_seq.load(std::memory_order_acquire);
+  // ONE doorbell ring for the whole batch; the single return ring is its
+  // pair.
   ch->call_seq.fetch_add(1, std::memory_order_seq_cst);
   FutexDoorbell::Wake(&ch->call_seq, &ch->call_sleepers);
   ++transfers_;
+
+  // Reads each entry's outcome back, at the offsets the client itself laid
+  // out. A finished entry brings its handler's status, and its results when
+  // the handler succeeded. After a death (`unfinished` set) an entry whose
+  // status word the server never published may have run its handler, so it
+  // fails with kCallFailed.
+  auto read_back = [&](const char* unfinished) {
+    std::size_t at = 0;
+    for (BatchCall& call : calls) {
+      const std::uint32_t status =
+          ch->entry(at).status.load(std::memory_order_acquire);
+      if (unfinished != nullptr && status == kProcPending) {
+        call.leg = Status(ErrorCode::kCallFailed, unfinished);
+      } else {
+        call.leg = Status::Ok();
+        call.handler_status = DecodeHandlerStatus(status);
+        if (call.handler_status.ok() && call.window_len > 0) {
+          std::memcpy(call.window, ch->window(at), call.window_len);
+        }
+      }
+      at += ProcEntryBytes(call.window_len);
+    }
+  };
+  // A death before accept fails every call retryable; after it, the status
+  // words triage call by call.
+  auto triage_death = [&](const char* unfinished) {
+    if (ch->accept_seq.load(std::memory_order_acquire) == accepted_before) {
+      (void)fail_all(ErrorCode::kPeerDied,
+                     "server process died before accepting the call");
+    } else {
+      read_back(unfinished);
+    }
+  };
 
   int waited_ms = 0;
   for (;;) {
@@ -428,12 +491,9 @@ Status ProcHost::Execute(DomainId server, DomainId client, int procedure,
         FutexDoorbell::WaitWhile(&ch->return_seq, &ch->return_sleepers,
                                  returned_before, options_.wait_slice_ms);
     if (returned != returned_before) {
-      // The server rang the return doorbell; its release store published
-      // the result payload under our acquire load.
-      if (window_len > 0) {
-        std::memcpy(window, ch->payload, window_len);
-      }
-      *handler_status = DecodeHandlerCode(ch->handler_code);
+      // The server rang the return doorbell once for the whole batch; its
+      // release published every entry's results under our acquire load.
+      read_back(nullptr);
       if (kill_phase == KillPhase::kAfterReturn) {
         // The deliberate post-return death is synchronous (the child
         // SIGKILLed itself right after ringing); reap it now so the next
@@ -450,159 +510,14 @@ Status ProcHost::Execute(DomainId server, DomainId client, int procedure,
     if (r != 0) {
       ep->reaped = r == ep->pid;
       MarkDead(*ep);
-      const std::uint32_t accepted =
-          ch->accept_seq.load(std::memory_order_acquire);
-      if (accepted == accepted_before) {
-        return Status(ErrorCode::kPeerDied,
-                      "server process died before accepting the call");
-      }
-      return Status(ErrorCode::kCallFailed, "server process died mid-call");
-    }
-
-    waited_ms += options_.wait_slice_ms;
-    if (waited_ms >= options_.call_deadline_ms) {
-      // The backend's own watchdog: a wedged peer is indistinguishable from
-      // a hung call, so kill and collect it rather than hang the client.
-      kill(ep->pid, SIGKILL);
-      MarkDead(*ep);
-      const std::uint32_t accepted =
-          ch->accept_seq.load(std::memory_order_acquire);
-      if (accepted == accepted_before) {
-        return Status(ErrorCode::kPeerDied,
-                      "wedged server killed before accepting the call");
-      }
-      return Status(ErrorCode::kCallFailed, "wedged server killed mid-call");
-    }
-  }
-}
-
-Status ProcHost::ExecuteBatch(DomainId server, DomainId client,
-                              std::span<BatchCall> calls,
-                              KillPhase kill_phase) {
-  if (calls.empty()) {
-    return Status::Ok();
-  }
-  // Batches the channel's batch area cannot carry take the compatibility
-  // loop — exact semantics first, doorbell amortization second.
-  bool fits = calls.size() <= kProcBatchMax;
-  for (const BatchCall& call : calls) {
-    fits = fits && call.window_len <= kProcBatchEntryBytes;
-  }
-  if (!fits) {
-    return ProcTransport::ExecuteBatch(server, client, calls, kill_phase);
-  }
-
-  Endpoint* ep = Find(server);
-  if (ep == nullptr) {
-    return Status(ErrorCode::kNoSuchDomain, "no process endpoint");
-  }
-  auto fail_all = [&calls](ErrorCode code, const char* detail) {
-    for (BatchCall& call : calls) {
-      call.leg = Status(code, detail);
-    }
-  };
-  if (ep->dead_pending || !ep->live) {
-    MarkDead(*ep);
-    fail_all(ErrorCode::kPeerDied, "server process already dead");
-    return Status::Ok();
-  }
-  if (kill_phase == KillPhase::kBeforeAccept) {
-    kill(ep->pid, SIGKILL);
-    MarkDead(*ep);
-    fail_all(ErrorCode::kPeerDied,
-             "server process died before accepting the call");
-    return Status::Ok();
-  }
-
-  ProcChannel* ch = ep->channel;
-  ch->die_mode = kill_phase == KillPhase::kInServerBody ? kProcDieInServerBody
-                 : kill_phase == KillPhase::kAfterReturn ? kProcDieAfterReturn
-                                                         : kProcDieNone;
-  ch->client_domain = static_cast<std::int32_t>(client);
-  ch->caller_thread = static_cast<std::int32_t>(kNoThread);
-  ch->batch_count = static_cast<std::uint32_t>(calls.size());
-  for (std::size_t i = 0; i < calls.size(); ++i) {
-    ProcBatchEntry& entry = ch->batch[i];
-    entry.procedure = calls[i].procedure;
-    entry.inline_window = calls[i].inline_window ? 1u : 0u;
-    entry.payload_len = static_cast<std::uint32_t>(calls[i].window_len);
-    entry.handler_code = 0;
-    // Ordered by the call_seq release store below, like the plain header
-    // fields.  LRPC_MO(pre-publish-reset)
-    entry.done.store(0, std::memory_order_relaxed);
-    if (calls[i].window_len > 0) {
-      std::memcpy(entry.payload, calls[i].window, calls[i].window_len);
-    }
-  }
-  const std::uint32_t accepted_before =
-      ch->accept_seq.load(std::memory_order_acquire);
-  const std::uint32_t returned_before =
-      ch->return_seq.load(std::memory_order_acquire);
-  // ONE doorbell ring for the whole batch — the amortization this protocol
-  // exists for; the single return ring below is its pair.
-  ch->call_seq.fetch_add(1, std::memory_order_seq_cst);
-  FutexDoorbell::Wake(&ch->call_seq, &ch->call_sleepers);
-  ++transfers_;
-
-  // Per-entry triage after a peer death: never accepted => every call is
-  // retryable; accepted => finished entries (done word published) keep
-  // their real results, the rest may have run their handler => kCallFailed.
-  auto triage_death = [&](const char* mid_detail) {
-    const std::uint32_t accepted =
-        ch->accept_seq.load(std::memory_order_acquire);
-    if (accepted == accepted_before) {
-      fail_all(ErrorCode::kPeerDied,
-               "server process died before accepting the call");
-      return;
-    }
-    for (std::size_t i = 0; i < calls.size(); ++i) {
-      ProcBatchEntry& entry = ch->batch[i];
-      if (entry.done.load(std::memory_order_acquire) != 0) {
-        if (calls[i].window_len > 0) {
-          std::memcpy(calls[i].window, entry.payload, calls[i].window_len);
-        }
-        calls[i].leg = Status::Ok();
-        calls[i].handler_status = DecodeHandlerCode(entry.handler_code);
-      } else {
-        calls[i].leg = Status(ErrorCode::kCallFailed, mid_detail);
-      }
-    }
-  };
-
-  int waited_ms = 0;
-  for (;;) {
-    const std::uint32_t returned =
-        FutexDoorbell::WaitWhile(&ch->return_seq, &ch->return_sleepers,
-                                 returned_before, options_.wait_slice_ms);
-    if (returned != returned_before) {
-      // The server rang the return doorbell once for the whole batch; its
-      // release store published every entry's result bytes.
-      for (std::size_t i = 0; i < calls.size(); ++i) {
-        ProcBatchEntry& entry = ch->batch[i];
-        if (calls[i].window_len > 0) {
-          std::memcpy(calls[i].window, entry.payload, calls[i].window_len);
-        }
-        calls[i].leg = Status::Ok();
-        calls[i].handler_status = DecodeHandlerCode(entry.handler_code);
-      }
-      if (kill_phase == KillPhase::kAfterReturn) {
-        // Synchronous post-return death, reaped now (see Execute).
-        MarkDead(*ep);
-      }
-      return Status::Ok();
-    }
-
-    int wait_status = 0;
-    const pid_t r = waitpid(ep->pid, &wait_status, WNOHANG);
-    if (r != 0) {
-      ep->reaped = r == ep->pid;
-      MarkDead(*ep);
       triage_death("server process died mid-call");
       return Status::Ok();
     }
 
     waited_ms += options_.wait_slice_ms;
     if (waited_ms >= options_.call_deadline_ms) {
+      // The backend's own watchdog: a wedged peer is indistinguishable from
+      // a hung call, so kill and collect it rather than hang the client.
       kill(ep->pid, SIGKILL);
       MarkDead(*ep);
       triage_death("wedged server killed mid-call");
@@ -705,6 +620,11 @@ Status ProcHost::Shutdown(DomainId server) {
   ep->reaped = true;
   MarkDead(*ep);
   return Status::Ok();
+}
+
+ProcChannel* ProcHost::channel(DomainId server) {
+  Endpoint* ep = Find(server);
+  return ep != nullptr ? ep->channel : nullptr;
 }
 
 int ProcHost::peer_pid(DomainId server) const {

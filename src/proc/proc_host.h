@@ -12,7 +12,7 @@
 // Lifetime: the host attaches itself to the runtime on construction and
 // detaches on destruction, so it must not outlive the runtime. Everything
 // is single-threaded on the client side (the chaos/property drivers are),
-// matching the one-outstanding-call-per-channel protocol.
+// matching the one-outstanding-batch-per-channel protocol.
 
 #ifndef SRC_PROC_PROC_HOST_H_
 #define SRC_PROC_PROC_HOST_H_
@@ -34,7 +34,7 @@
 
 namespace lrpc {
 
-class ProcHost : public ProcTransport {
+class ProcHost final : public ProcTransport {
  public:
   struct Options {
     // Futex slice between liveness checks while a call is outstanding.
@@ -62,15 +62,16 @@ class ProcHost : public ProcTransport {
   bool Serves(DomainId server) const override;
   std::size_t payload_capacity() const override { return kProcPayloadBytes; }
   Status SpawnServer(DomainId server, const Interface* iface) override;
+  // A batch of one through ExecuteBatch.
   Status Execute(DomainId server, DomainId client, int procedure,
                  bool inline_window, std::uint8_t* window,
                  std::size_t window_len, Status* handler_status,
                  KillPhase kill) override;
-  // The single-doorbell batch protocol (docs/async.md): every call crosses
-  // the channel's batch area behind ONE call doorbell and ONE return
-  // doorbell; a peer death is triaged per entry via the `done` words.
-  // Batches the area cannot carry (oversized windows, overlong batches)
-  // fall back to the compatibility loop.
+  // The channel protocol (docs/multiprocess.md): every call of the batch
+  // crosses the channel's arena behind ONE call doorbell and ONE return
+  // doorbell; a peer death is triaged per entry via the status words. A
+  // batch of more than kProcBatchMax calls, or with a window over
+  // kProcPayloadBytes, fails whole with kMessageTooLarge.
   Status ExecuteBatch(DomainId server, DomainId client,
                       std::span<BatchCall> calls,
                       KillPhase kill) override;
@@ -98,6 +99,9 @@ class ProcHost : public ProcTransport {
   std::size_t mapped_segments() const;
   std::uint64_t transfers() const { return transfers_; }
   ProcSupervisor& supervisor() { return supervisor_; }
+  // The shared channel of `server`'s endpoint, as the client maps it (null
+  // when the domain has none): what a hostile client process can write.
+  ProcChannel* channel(DomainId server);
 
  private:
   struct Endpoint {
@@ -114,16 +118,17 @@ class ProcHost : public ProcTransport {
 
   // Serve loop of the forked child; never returns.
   [[noreturn]] void ChildServe(Endpoint& self);
-  // One handler execution in the child, against `payload` (`capacity`
-  // bytes) as the argument window and the procedure's entry of `scratch`
-  // (one A-stack per procedure, built before the serve loop) as its
-  // A-stack; shared by the single-call and batched serve paths. The other
-  // arguments are channel header fields, read once by the caller; a `len`
-  // other than the procedure's exact window fails kInvalidArgument.
+  // One handler execution in the child for the entry whose window is
+  // `window` (`capacity` bytes of arena from there on). The handler runs on
+  // the procedure's entry of `scratch` (one A-stack per procedure, built
+  // before the serve loop): the window is copied in, served from the
+  // A-stack or its linkage's register window, and copied back. The other
+  // arguments are entry fields, read once by the caller; a `len` other than
+  // the procedure's exact window fails kInvalidArgument.
   Status ChildRunHandler(Endpoint& self, Processor& cpu,
                          std::span<const std::unique_ptr<AStackRegion>> scratch,
                          int procedure, bool inline_window,
-                         std::uint8_t* payload, std::size_t len,
+                         std::uint8_t* window, std::size_t len,
                          std::size_t capacity);
 
   // Reaps (if needed) and marks an endpoint's corpse; idempotent.

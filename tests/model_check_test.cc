@@ -1,4 +1,4 @@
-// Exhaustive small-scope checks of the two protocols whose correctness
+// Exhaustive small-scope checks of the protocols whose correctness
 // arguments live in comments: the CircuitBreaker half-open epoch
 // (src/lrpc/circuit_breaker.h — "only the CAS winner publishes the
 // epoch's probe budget") and the ValidateCached seqlock + generation
@@ -787,6 +787,211 @@ TEST(FreeListSlotModel, ReportingExhaustionAfterOneScanIsCaught) {
   ASSERT_FALSE(stats.failure_traces.empty());
   EXPECT_NE(stats.failure_traces[0].find("terminal check failed"),
             std::string::npos);
+}
+
+// --- The proc channel protocol: accept, per-entry status, death triage ---
+//
+// Mirrors src/proc/proc_host.cc, where a synchronous call is a batch of
+// one. The client writes the entries and rings call_seq. The server accepts
+// (accept_seq), then runs each entry's handler, writes the entry's results
+// and publishes its status word, and rings return_seq once. The server may
+// die at any step: a third thread, the kill, runs at any point (a chaos
+// SIGKILL, a spontaneous death or the client's deadline kill all look the
+// same to the client). The client waits on return_seq and checks for a
+// corpse between waits. If the return rang it reads every entry back;
+// after a death it triages: accept_seq unmoved fails every entry
+// kPeerDied, otherwise an entry whose status word is published is ok and
+// one still pending fails kCallFailed. Invariants: an entry reported
+// kPeerDied never ran its handler, and an entry whose handler ran is never
+// reported kPeerDied (one predicate, checked after every step, so it holds
+// whichever happens first); an entry reported ok has its results. The
+// broken variants bump accept_seq only after the first handler, and
+// publish the status word before the entry's results.
+
+constexpr int kMaxEntries = 2;
+
+enum class Reported : std::uint8_t { kPending, kOk, kPeerDied, kCallFailed };
+
+struct ChannelModel {
+  int entries = 1;
+  bool rung = false;       // call_seq.
+  bool accepted = false;   // accept_seq.
+  bool returned = false;   // return_seq.
+  bool dead = false;
+  bool done[kMaxEntries] = {};   // The status word is published.
+  int results[kMaxEntries] = {};  // Result bytes in the channel.
+  bool ran[kMaxEntries] = {};     // The handler ran in the server.
+  Reported reported[kMaxEntries] = {};
+  int client_results[kMaxEntries] = {};
+  bool operator==(const ChannelModel&) const = default;
+};
+
+// Entry i's handler writes i + 1.
+int EntryResult(int i) { return i + 1; }
+
+enum class ChannelBug : std::uint8_t { kNone, kLateAccept, kEarlyDone };
+
+ModelThread<ChannelModel> ChannelServer(int entries, ChannelBug bug) {
+  ModelThread<ChannelModel> t;
+  t.name = "server";
+  // Each action is one step; a dead server takes no more.
+  std::vector<std::function<void(ChannelModel&)>> actions;
+  const auto accept = [](ChannelModel& m) { m.accepted = true; };
+  if (bug != ChannelBug::kLateAccept) {
+    actions.push_back(accept);
+  }
+  for (int i = 0; i < entries; ++i) {
+    const auto run = [i](ChannelModel& m) { m.ran[i] = true; };
+    const auto write = [i](ChannelModel& m) { m.results[i] = EntryResult(i); };
+    const auto publish = [i](ChannelModel& m) { m.done[i] = true; };
+    actions.push_back(run);
+    if (bug == ChannelBug::kLateAccept && i == 0) {
+      actions.push_back(accept);
+    }
+    if (bug == ChannelBug::kEarlyDone) {
+      actions.push_back(publish);
+      actions.push_back(write);
+    } else {
+      actions.push_back(write);
+      actions.push_back(publish);
+    }
+  }
+  actions.push_back([](ChannelModel& m) { m.returned = true; });
+  // Step 0 waits for the ring (a pruned spin until the client rings).
+  t.steps.push_back([](ChannelModel& m) {
+    if (m.dead) {
+      return kDone;
+    }
+    return m.rung ? 1 : 0;
+  });
+  for (std::size_t a = 0; a < actions.size(); ++a) {
+    const int next =
+        a + 1 == actions.size() ? kDone : static_cast<int>(a + 2);
+    t.steps.push_back([action = actions[a], next](ChannelModel& m) {
+      if (m.dead) {
+        return kDone;
+      }
+      action(m);
+      return next;
+    });
+  }
+  return t;
+}
+
+ModelThread<ChannelModel> ChannelClient() {
+  ModelThread<ChannelModel> t;
+  t.name = "client";
+  const auto read_back = [](ChannelModel& m, bool after_death) {
+    for (int i = 0; i < m.entries; ++i) {
+      if (after_death && !m.done[i]) {
+        m.reported[i] = Reported::kCallFailed;
+      } else {
+        m.reported[i] = Reported::kOk;
+        m.client_results[i] = m.results[i];
+      }
+    }
+  };
+  // 0: write the entries and ring.
+  t.steps.push_back([](ChannelModel& m) {
+    m.rung = true;
+    return 1;
+  });
+  // 1: the wait on return_seq.
+  t.steps.push_back([read_back](ChannelModel& m) {
+    if (m.returned) {
+      read_back(m, /*after_death=*/false);
+      return kDone;
+    }
+    return 2;
+  });
+  // 2: the liveness check between waits. Nothing new: wait again (a
+  // pruned spin); the return rang meanwhile: back to the wait.
+  t.steps.push_back([read_back](ChannelModel& m) {
+    if (m.dead) {
+      if (!m.accepted) {
+        for (int i = 0; i < m.entries; ++i) {
+          m.reported[i] = Reported::kPeerDied;
+        }
+      } else {
+        read_back(m, /*after_death=*/true);
+      }
+      return kDone;
+    }
+    return m.returned ? 1 : 2;
+  });
+  return t;
+}
+
+ExploreStats CheckChannel(int entries, ChannelBug bug) {
+  ModelThread<ChannelModel> kill;
+  kill.name = "kill";
+  kill.steps.push_back([](ChannelModel& m) {
+    m.dead = true;
+    return kDone;
+  });
+  Explorer<ChannelModel> explorer(
+      {ChannelClient(), ChannelServer(entries, bug), kill});
+  explorer.set_invariant([](const ChannelModel& m) {
+    for (int i = 0; i < m.entries; ++i) {
+      if (m.reported[i] == Reported::kPeerDied && m.ran[i]) {
+        return false;
+      }
+      if (m.reported[i] == Reported::kOk &&
+          m.client_results[i] != EntryResult(i)) {
+        return false;
+      }
+    }
+    return true;
+  });
+  explorer.set_terminal_check([](const ChannelModel& m) {
+    for (int i = 0; i < m.entries; ++i) {
+      if (m.reported[i] == Reported::kPending) {
+        return false;
+      }
+    }
+    return true;
+  });
+  ChannelModel initial;
+  initial.entries = entries;
+  return explorer.Run(initial);
+}
+
+TEST(ProcChannelModel, TriageNeverMislabelsAnEntry) {
+  for (int entries = 1; entries <= kMaxEntries; ++entries) {
+    SCOPED_TRACE(entries);
+    const ExploreStats stats = CheckChannel(entries, ChannelBug::kNone);
+    EXPECT_TRUE(stats.ok()) << stats.failure_traces[0];
+    // The kill lands at every point of the protocol, so every outcome is
+    // reached: all ok, all kPeerDied, and a split batch.
+    EXPECT_GT(stats.schedules, 10u * static_cast<std::uint64_t>(entries));
+  }
+}
+
+TEST(ProcChannelModel, AcceptingAfterTheFirstHandlerIsCaught) {
+  // The server runs entry 0's handler and dies before it accepts: the
+  // client reads the unmoved accept_seq as "no handler ran" and reports
+  // kPeerDied for an entry whose handler did run.
+  for (int entries = 1; entries <= kMaxEntries; ++entries) {
+    SCOPED_TRACE(entries);
+    const ExploreStats stats = CheckChannel(entries, ChannelBug::kLateAccept);
+    EXPECT_FALSE(stats.ok());
+    ASSERT_FALSE(stats.failure_traces.empty());
+    EXPECT_NE(stats.failure_traces[0].find("invariant violated"),
+              std::string::npos);
+  }
+}
+
+TEST(ProcChannelModel, PublishingStatusBeforeTheResultsIsCaught) {
+  // The server dies between an entry's status word and its results: the
+  // client's triage reports the entry ok without its results.
+  for (int entries = 1; entries <= kMaxEntries; ++entries) {
+    SCOPED_TRACE(entries);
+    const ExploreStats stats = CheckChannel(entries, ChannelBug::kEarlyDone);
+    EXPECT_FALSE(stats.ok());
+    ASSERT_FALSE(stats.failure_traces.empty());
+    EXPECT_NE(stats.failure_traces[0].find("invariant violated"),
+              std::string::npos);
+  }
 }
 
 }  // namespace

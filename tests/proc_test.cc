@@ -10,14 +10,17 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <memory>
 #include <new>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "src/common/check.h"
 #include "src/common/rng.h"
 #include "src/lrpc/async_call.h"
 #include "src/lrpc/chaos_testbed.h"
@@ -35,6 +38,65 @@ namespace {
       GTEST_SKIP() << "fork is not permitted in this sandbox";    \
     }                                                             \
   } while (false)
+
+// One forked server exporting the given procedures, for the tests whose
+// procedures ProcWorld does not export. It is put together the way
+// ProcWorld is: export, spawn the server, import, and a client thread
+// running in the client domain.
+struct CustomProcWorld {
+  explicit CustomProcWorld(std::vector<ProcedureDef> procedures) {
+    server = kernel.CreateDomain({.name = "custom.server"});
+    client = kernel.CreateDomain({.name = "custom.client"});
+    Interface* iface = runtime.CreateInterface(server, "custom.Procedures");
+    for (ProcedureDef& def : procedures) {
+      (void)iface->AddProcedure(std::move(def));
+    }
+    LRPC_CHECK_OK(runtime.Export(iface));
+    spawn = host.SpawnServer(server, iface);
+    Result<ClientBinding*> bound = runtime.Import(cpu(), client, iface->name());
+    LRPC_CHECK(bound.ok());
+    binding = *bound;
+    thread = kernel.CreateThread(client);
+    cpu().LoadContext(kernel.domain(client).vm_context());
+    kernel.thread(thread).set_current_domain(client);
+  }
+
+  Processor& cpu() { return machine.processor(0); }
+  const ProcedureDef& def(int procedure) const {
+    return *binding->interface_spec()->pd(procedure).def;
+  }
+  Status Call(int procedure, std::span<const CallArg> args,
+              std::span<const CallRet> rets) {
+    return runtime.Call(cpu(), thread, *binding, procedure, args, rets);
+  }
+
+  Machine machine{MachineModel::CVaxFirefly(), 1};
+  Kernel kernel{machine};
+  LrpcRuntime runtime{kernel, RuntimeBackend::kMultiProcess};
+  ProcHost host{runtime};  // After runtime: destroyed first.
+  DomainId server = kNoDomain;
+  DomainId client = kNoDomain;
+  ThreadId thread = kNoThread;
+  ClientBinding* binding = nullptr;
+  Status spawn;
+};
+
+ProcedureDef AddDef() {
+  ProcedureDef def;
+  def.name = "Add";
+  def.params = {{.name = "a", .direction = ParamDirection::kIn, .size = 4},
+                {.name = "b", .direction = ParamDirection::kIn, .size = 4},
+                {.name = "sum", .direction = ParamDirection::kOut, .size = 4}};
+  def.handler = [](ServerFrame& frame) -> Status {
+    Result<std::int32_t> a = frame.Arg<std::int32_t>(0);
+    Result<std::int32_t> b = frame.Arg<std::int32_t>(1);
+    if (!a.ok() || !b.ok()) {
+      return Status(ErrorCode::kInvalidArgument);
+    }
+    return frame.Result_<std::int32_t>(2, *a + *b);
+  };
+  return def;
+}
 
 // --- The backend executes calls in a real server process. ---
 
@@ -228,25 +290,43 @@ TEST(ProcBackendTest, SpawnIsRefusedWithoutAMatchingExport) {
 
 // --- The server checks the window length it reads from shared memory. ---
 
+// Through either entry point, a full channel window sent to a procedure
+// with a smaller A-stack is refused by the server, which neither copies it
+// into its scratch A-stack nor runs the handler, and keeps serving.
 TEST(ProcBackendTest, OversizedWindowIsRejectedAndTheServerSurvives) {
   SKIP_WITHOUT_FORK();
   ProcWorld world;
   ASSERT_TRUE(world.ok()) << world.spawn_status().detail();
 
-  // A full channel payload is far longer than Add's A-stack: the server
-  // must refuse the length rather than copy it into its scratch A-stack.
   std::vector<std::uint8_t> window(kProcPayloadBytes, 0xab);
-  Status handler_status;
-  const Status leg = world.host().Execute(
-      world.server_domain(), world.client_domain(), world.add_proc(),
-      /*inline_window=*/false, window.data(), window.size(), &handler_status,
-      ProcTransport::KillPhase::kNone);
-  ASSERT_TRUE(leg.ok()) << ErrorCodeName(leg.code());
-  EXPECT_EQ(handler_status.code(), ErrorCode::kInvalidArgument);
+  for (const bool batch : {false, true}) {
+    SCOPED_TRACE(batch ? "ExecuteBatch" : "Execute");
+    ProcTransport::BatchCall call;
+    call.procedure = world.add_proc();
+    call.window = window.data();
+    call.window_len = window.size();
+    if (batch) {
+      const std::span<ProcTransport::BatchCall> calls(&call, 1);
+      ASSERT_TRUE(world.host()
+                      .ExecuteBatch(world.server_domain(),
+                                    world.client_domain(), calls,
+                                    ProcTransport::KillPhase::kNone)
+                      .ok());
+    } else {
+      call.leg = world.host().Execute(
+          world.server_domain(), world.client_domain(), call.procedure,
+          call.inline_window, call.window, call.window_len,
+          &call.handler_status, ProcTransport::KillPhase::kNone);
+    }
+    ASSERT_TRUE(call.leg.ok()) << ErrorCodeName(call.leg.code());
+    EXPECT_EQ(call.handler_status.code(), ErrorCode::kInvalidArgument);
 
-  std::int32_t sum = 0;
-  ASSERT_TRUE(world.CallAdd(1200, 34, &sum).ok());
-  EXPECT_EQ(sum, 1234);
+    std::int32_t sum = 0;
+    ASSERT_TRUE(world.CallAdd(1200, 34, &sum).ok());
+    EXPECT_EQ(sum, 1234);
+  }
+  // Only the two Adds reached a handler.
+  EXPECT_EQ(world.counters().calls.load(std::memory_order_acquire), 2u);
 }
 
 // The server accepts only the exact window an honest client sends
@@ -272,6 +352,75 @@ TEST(ProcBackendTest, ShortWindowIsRejectedAndTheServerSurvives) {
   EXPECT_EQ(sum, 1200);
   // The rejected window never reached the handler.
   EXPECT_EQ(world.counters().calls.load(std::memory_order_acquire), 2u);
+}
+
+// The server reads an inline call's window once, into its own register
+// window: a handler that reads its argument, waits while a client thread
+// rewrites the channel window, and reads the argument again sees one value.
+TEST(ProcBackendTest, InlineWindowIsReadOnceByTheServer) {
+  SKIP_WITHOUT_FORK();
+  struct Shared {
+    std::atomic<std::uint32_t> first_read{0};
+    std::atomic<std::uint32_t> rewritten{0};
+    std::atomic<std::int32_t> reads[2];
+  };
+  ProcSegment segment;
+  ASSERT_TRUE(segment.Map(sizeof(Shared)).ok());
+  auto* shared = new (segment.data()) Shared();
+
+  ProcedureDef def;
+  def.name = "ReadTwice";
+  def.params = {{.name = "a", .direction = ParamDirection::kIn, .size = 4}};
+  def.handler = [shared](ServerFrame& frame) -> Status {
+    const Result<std::int32_t> first = frame.Arg<std::int32_t>(0);
+    shared->first_read.store(1, std::memory_order_release);
+    for (int waited_ms = 0;
+         shared->rewritten.load(std::memory_order_acquire) == 0 &&
+         waited_ms < 2000;
+         ++waited_ms) {
+      usleep(1000);
+    }
+    const Result<std::int32_t> second = frame.Arg<std::int32_t>(0);
+    shared->reads[0].store(first.ok() ? *first : -1);
+    shared->reads[1].store(second.ok() ? *second : -1);
+    // The reads travel back through `shared`, and the call fails, so the
+    // client copies no result bytes out of the window the rewriting thread
+    // wrote: the two client threads are ordered only through the server
+    // process, which ThreadSanitizer cannot see.
+    return Status(ErrorCode::kUnimplemented);
+  };
+  CustomProcWorld world({std::move(def)});
+  ASSERT_TRUE(world.spawn.ok()) << world.spawn.detail();
+  ASSERT_TRUE(world.binding->interface_spec()->pd(0).inline_eligible);
+  ProcChannel* channel = world.host.channel(world.server);
+  ASSERT_NE(channel, nullptr);
+  const std::size_t a_at = ParamOffset(world.def(0), 0);
+
+  std::thread rewriter([shared, channel, a_at] {
+    for (int waited_ms = 0;
+         shared->first_read.load(std::memory_order_acquire) == 0 &&
+         waited_ms < 2000;
+         ++waited_ms) {
+      usleep(1000);
+    }
+    // The client published the window before the handler could read it;
+    // this load orders the rewrite after the client's own write.
+    (void)channel->call_seq.load(std::memory_order_acquire);
+    const std::int32_t rewrite = 222;
+    std::memcpy(channel->window(0) + a_at, &rewrite, sizeof(rewrite));
+    shared->rewritten.store(1, std::memory_order_release);
+  });
+  std::uint8_t block[kInlineSlotSpanLimit] = {};
+  const std::int32_t a = 111;
+  std::memcpy(block + a_at, &a, sizeof(a));
+  const Status status = world.runtime.CallInline(
+      world.cpu(), world.thread, *world.binding, 0, block, block);
+  rewriter.join();
+  EXPECT_EQ(status.code(), ErrorCode::kUnimplemented)
+      << ErrorCodeName(status.code());
+  ASSERT_EQ(shared->rewritten.load(), 1u);
+  EXPECT_EQ(shared->reads[0].load(), 111);
+  EXPECT_EQ(shared->reads[1].load(), 111);
 }
 
 // The server builds one scratch A-stack per procedure before it serves and
@@ -333,6 +482,85 @@ TEST(ProcBackendTest, ReusedScratchAStacksServeSeededMixedCalls) {
   }
   EXPECT_EQ(world.counters().calls.load(std::memory_order_acquire),
             static_cast<std::uint64_t>(kCalls));
+}
+
+// A call the channel cannot carry — a window over kProcPayloadBytes, or a
+// variable argument spilled out of band (Section 5.2) — is refused by the
+// kernel call leg on both drivers and never runs its handler in the client
+// process: a counter on the client's heap, which only a handler running in
+// the client could move, stays 0, and so does the server's shared counter.
+// A raw SIGKILL of the server, before its corpse is collected, changes
+// nothing about the refusal.
+TEST(ProcBackendTest, CallsTheChannelCannotCarryAreRefusedNotRunInTheClient) {
+  SKIP_WITHOUT_FORK();
+  ProcSegment segment;
+  ASSERT_TRUE(segment.Map(sizeof(std::atomic<std::uint64_t>)).ok());
+  auto* server_runs = new (segment.data()) std::atomic<std::uint64_t>(0);
+  auto client_runs = std::make_unique<std::uint64_t>(0);
+  const ServerProc counted = [server_runs,
+                              client = client_runs.get()](ServerFrame&) {
+    ++*client;
+    // LRPC_MO(stat-counter)
+    server_runs->fetch_add(1, std::memory_order_relaxed);
+    return Status::Ok();
+  };
+  ProcedureDef big;
+  big.name = "Big";
+  big.params = {{.name = "blob", .direction = ParamDirection::kIn,
+                 .size = 5000}};
+  big.handler = counted;
+  ProcedureDef spilled;
+  spilled.name = "Spilled";
+  spilled.params = {{.name = "bytes", .direction = ParamDirection::kIn,
+                     .size = 0, .max_size = 16}};
+  spilled.handler = counted;
+  CustomProcWorld world({AddDef(), std::move(big), std::move(spilled)});
+  ASSERT_TRUE(world.spawn.ok()) << world.spawn.detail();
+  constexpr int kAdd = 0;
+  constexpr int kBig = 1;
+  constexpr int kSpilled = 2;
+  ASSERT_GT(world.binding->interface_spec()->pd(kBig).astack_size,
+            kProcPayloadBytes);
+
+  std::vector<std::uint8_t> blob(5000, 0x5a);
+  std::vector<std::uint8_t> bytes(100, 0xa5);
+  const CallArg big_args[] = {CallArg(blob.data(), blob.size())};
+  const CallArg spilled_args[] = {CallArg(bytes.data(), bytes.size())};
+  EXPECT_EQ(world.Call(kBig, big_args, {}).code(), ErrorCode::kMessageTooLarge);
+  EXPECT_EQ(world.Call(kSpilled, spilled_args, {}).code(),
+            ErrorCode::kMessageTooLarge);
+  EXPECT_EQ(world.runtime.LiveOobSegments(), 0u);
+
+  // The async driver refuses the same call in its flush and still ships
+  // the rest of the batch.
+  std::int32_t sum = 0;
+  const std::int32_t a = 1200;
+  const std::int32_t b = 34;
+  const CallArg add_args[] = {CallArg::Of(a), CallArg::Of(b)};
+  const CallRet add_rets[] = {CallRet::Of(&sum)};
+  AsyncRing ring(world.runtime, *world.binding, world.thread, /*depth=*/2);
+  ASSERT_TRUE(ring.Submit(world.cpu(), kBig, big_args, {}).ok());
+  ASSERT_TRUE(ring.Submit(world.cpu(), kAdd, add_args, add_rets).ok());
+  ring.Drain(world.cpu());
+  ASSERT_EQ(ring.results().size(), 2u);
+  EXPECT_EQ(ring.results()[0].status.code(), ErrorCode::kMessageTooLarge);
+  EXPECT_TRUE(ring.results()[1].status.ok());
+  EXPECT_EQ(sum, 1234);
+
+  EXPECT_EQ(*client_runs, 0u);
+  EXPECT_EQ(server_runs->load(std::memory_order_acquire), 0u);
+  sum = 0;
+  ASSERT_TRUE(world.Call(kAdd, add_args, add_rets).ok());
+  EXPECT_EQ(sum, 1234);
+  EXPECT_EQ(world.host.transfers(), 2u);  // The flush and the Add.
+
+  ASSERT_TRUE(world.host.KillPeer(world.server).ok());
+  EXPECT_EQ(world.Call(kBig, big_args, {}).code(), ErrorCode::kMessageTooLarge);
+  EXPECT_EQ(*client_runs, 0u);
+  EXPECT_EQ(server_runs->load(std::memory_order_acquire), 0u);
+  std::vector<std::string> found;
+  world.runtime.AuditAStacks(/*quiescent=*/true, found);
+  EXPECT_TRUE(found.empty()) << (found.empty() ? "" : found.front());
 }
 
 // Domain caching (Section 3.4) is the simulator's alone: a proc call
@@ -628,6 +856,57 @@ TEST(ProcAsyncTest, BatchedFlushAmortizesTheDoorbellAcrossTheBatch) {
   EXPECT_EQ(world.host().transfers(), 1u);
 }
 
+// Every window up to kProcPayloadBytes crosses in its batch's one doorbell:
+// a depth-4 ring of 2000-byte parameter blocks (2048-byte windows) is one
+// transfer, not four, and every result comes back right.
+TEST(ProcAsyncTest, WindowsUpToThePayloadShareTheBatchDoorbell) {
+  SKIP_WITHOUT_FORK();
+  constexpr std::size_t kHalf = 1000;
+  ProcedureDef def;
+  def.name = "Reverse";
+  def.params = {{.name = "in", .direction = ParamDirection::kIn, .size = kHalf},
+                {.name = "out", .direction = ParamDirection::kOut,
+                 .size = kHalf}};
+  def.handler = [](ServerFrame& frame) -> Status {
+    std::uint8_t buffer[kHalf];
+    Result<std::size_t> n = frame.ReadArg(0, buffer, sizeof(buffer));
+    if (!n.ok()) {
+      return n.status();
+    }
+    std::reverse(buffer, buffer + kHalf);
+    return frame.WriteResult(1, buffer, kHalf);
+  };
+  CustomProcWorld world({std::move(def)});
+  ASSERT_TRUE(world.spawn.ok()) << world.spawn.detail();
+  const std::size_t window = world.binding->interface_spec()->pd(0).astack_size;
+  EXPECT_GT(window, std::size_t{1024});
+  EXPECT_LE(window, kProcPayloadBytes);
+
+  constexpr int kDepth = 4;
+  AsyncRing ring(world.runtime, *world.binding, world.thread, kDepth);
+  std::uint8_t in[kDepth][kHalf];
+  std::uint8_t out[kDepth][kHalf] = {};
+  for (int i = 0; i < kDepth; ++i) {
+    for (std::size_t j = 0; j < kHalf; ++j) {
+      in[i][j] = static_cast<std::uint8_t>(31 * i + 7 * j);
+    }
+    const CallArg args[] = {CallArg(in[i], kHalf)};
+    const CallRet rets[] = {CallRet(out[i], kHalf)};
+    ASSERT_TRUE(ring.Submit(world.cpu(), 0, args, rets).ok());
+  }
+  ring.Drain(world.cpu());
+  ASSERT_EQ(ring.results().size(), static_cast<std::size_t>(kDepth));
+  for (const AsyncCompletion& done : ring.results()) {
+    EXPECT_TRUE(done.status.ok()) << ErrorCodeName(done.status.code());
+  }
+  for (int i = 0; i < kDepth; ++i) {
+    for (std::size_t j = 0; j < kHalf; ++j) {
+      ASSERT_EQ(out[i][j], in[i][kHalf - 1 - j]) << "call " << i << " at " << j;
+    }
+  }
+  EXPECT_EQ(world.host.transfers(), 1u);
+}
+
 TEST(ProcAsyncTest, MidBatchDeathIsTriagedPerEntry) {
   SKIP_WITHOUT_FORK();
   ProcWorld world;
@@ -635,7 +914,7 @@ TEST(ProcAsyncTest, MidBatchDeathIsTriagedPerEntry) {
 
   // Drive the transport directly: four Nulls with a SIGKILL armed inside
   // the server body — the child dies halfway (before entry batch/2 == 2),
-  // so the done words split the batch into finished and unfinished halves.
+  // so the status words split the batch into finished and unfinished halves.
   // Each entry carries Null's whole A-stack, the exact window an honest
   // client sends (LrpcRuntime::ProcCallOf).
   const std::size_t window_len =
@@ -681,30 +960,6 @@ TEST(ProcAsyncTest, PreAcceptBatchDeathIsRetryableForEveryEntry) {
   }
   EXPECT_EQ(world.counters().calls.load(std::memory_order_acquire), 0u);
   EXPECT_EQ(world.host().CollectDead(), 1);
-}
-
-TEST(ProcAsyncTest, OversizedBatchEntryIsRejectedAndTheServerSurvives) {
-  SKIP_WITHOUT_FORK();
-  ProcWorld world;
-  ASSERT_TRUE(world.ok()) << world.spawn_status().detail();
-
-  // A full batch entry is far longer than Null's scratch A-stack.
-  std::vector<std::uint8_t> window(kProcBatchEntryBytes, 0xcd);
-  ProcTransport::BatchCall call;
-  call.procedure = world.null_proc();
-  call.window = window.data();
-  call.window_len = window.size();
-  ASSERT_TRUE(world.host()
-                  .ExecuteBatch(world.server_domain(), world.client_domain(),
-                                std::span<ProcTransport::BatchCall>(&call, 1),
-                                ProcTransport::KillPhase::kNone)
-                  .ok());
-  ASSERT_TRUE(call.leg.ok()) << ErrorCodeName(call.leg.code());
-  EXPECT_EQ(call.handler_status.code(), ErrorCode::kInvalidArgument);
-
-  std::int32_t sum = 0;
-  ASSERT_TRUE(world.CallAdd(1200, 34, &sum).ok());
-  EXPECT_EQ(sum, 1234);
 }
 
 TEST(ProcChaosTest, AsyncBurstSchedulesSurviveRealProcessDeath) {
