@@ -907,6 +907,51 @@ TEST(ProcAsyncTest, WindowsUpToThePayloadShareTheBatchDoorbell) {
   EXPECT_EQ(world.host.transfers(), 1u);
 }
 
+// An entry whose window is longer than its procedure's A-stack is refused
+// on its own: the server runs neither its handler nor copies it, serves the
+// entries around it in the same batch, and keeps serving afterwards.
+TEST(ProcAsyncTest, OversizedBatchEntryIsRejectedAndTheServerSurvives) {
+  SKIP_WITHOUT_FORK();
+  ProcWorld world;
+  ASSERT_TRUE(world.ok()) << world.spawn_status().detail();
+
+  const std::size_t exact =
+      world.binding().interface_spec()->pd(world.null_proc()).astack_size;
+  // 1 KiB fits the channel arena but is far longer than Null's A-stack.
+  constexpr std::size_t kOversized = 1024;
+  ASSERT_GT(kOversized, exact);
+  std::vector<std::uint8_t> small(2 * exact);
+  std::vector<std::uint8_t> big(kOversized, 0xcd);
+  ProcTransport::BatchCall calls[3];
+  for (ProcTransport::BatchCall& call : calls) {
+    call.procedure = world.null_proc();
+    call.window_len = exact;
+  }
+  calls[0].window = small.data();
+  calls[1].window = big.data();
+  calls[1].window_len = big.size();
+  calls[2].window = small.data() + exact;
+  ASSERT_TRUE(world.host()
+                  .ExecuteBatch(world.server_domain(), world.client_domain(),
+                                std::span<ProcTransport::BatchCall>(calls),
+                                ProcTransport::KillPhase::kNone)
+                  .ok());
+  for (const ProcTransport::BatchCall& call : calls) {
+    ASSERT_TRUE(call.leg.ok()) << ErrorCodeName(call.leg.code());
+  }
+  EXPECT_TRUE(calls[0].handler_status.ok());
+  EXPECT_EQ(calls[1].handler_status.code(), ErrorCode::kInvalidArgument);
+  EXPECT_TRUE(calls[2].handler_status.ok());
+  EXPECT_EQ(world.host().transfers(), 1u);
+
+  std::int32_t sum = 0;
+  ASSERT_TRUE(world.CallAdd(1200, 34, &sum).ok());
+  EXPECT_EQ(sum, 1234);
+  // The two exact Nulls and the Add reached a handler; the oversized
+  // entry did not.
+  EXPECT_EQ(world.counters().calls.load(std::memory_order_acquire), 3u);
+}
+
 TEST(ProcAsyncTest, MidBatchDeathIsTriagedPerEntry) {
   SKIP_WITHOUT_FORK();
   ProcWorld world;
