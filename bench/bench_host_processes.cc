@@ -49,6 +49,7 @@
 #include <new>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/proc/futex_doorbell.h"
@@ -254,6 +255,8 @@ void WriteJson(std::ostream& out, const std::vector<Row>& rows,
                bool fork_permitted, const BenchConfig& cfg) {
   out << "{\n";
   out << "  \"bench\": \"processes\",\n";
+  out << "  \"hardware_concurrency\": " << std::thread::hardware_concurrency()
+      << ",\n";
   out << "  \"fork_permitted\": " << (fork_permitted ? "true" : "false")
       << ",\n";
   out << "  \"samples\": " << cfg.samples << ",\n";

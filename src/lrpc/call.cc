@@ -505,7 +505,8 @@ bool LrpcRuntime::ProcRefuses(const BindingRecord& record,
 }
 
 // The window of `slot`'s call that crosses the channel: the linkage
-// record's register window for an inline call, the whole A-stack otherwise.
+// record's register window for an inline call, otherwise the bytes of the
+// A-stack the procedure's parameters occupy, not the group's whole bucket.
 ProcTransport::BatchCall LrpcRuntime::ProcCallOf(const CallSlot& slot) {
   const bool inline_window = slot.win != nullptr;
   ProcTransport::BatchCall call;
@@ -514,7 +515,7 @@ ProcTransport::BatchCall LrpcRuntime::ProcCallOf(const CallSlot& slot) {
   call.window = inline_window ? slot.astack.linkage().regs
                               : slot.astack.region->segment().DataUnchecked() +
                                     slot.astack.offset();
-  call.window_len = inline_window ? slot.pd->slot_span : slot.pd->astack_size;
+  call.window_len = inline_window ? slot.pd->slot_span : slot.pd->window_bytes;
   return call;
 }
 

@@ -101,6 +101,7 @@ void Interface::Seal() {
     pd.entry_address =
         0x10000ULL * static_cast<std::uint64_t>(id_ + 1) + 0x40ULL * i;
     pd.simultaneous_calls = def.simultaneous_calls;
+    pd.window_bytes = need;
     pd.astack_size = bucket;
     pd.astack_group = group;
     pd.def = &defs_[i];

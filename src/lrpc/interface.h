@@ -102,6 +102,10 @@ constexpr std::size_t kInlineSlotSpanLimit = 64;
 struct ProcedureDescriptor {
   std::uint64_t entry_address = 0;  // Entry stub address in the server.
   int simultaneous_calls = 5;
+  // The procedure's own A-stack bytes (ComputeAStackSize), and the group
+  // bucket they round up to. A call to a server process ships exactly
+  // `window_bytes` (LrpcRuntime::ProcCallOf).
+  std::size_t window_bytes = 0;
   std::size_t astack_size = 0;
   // Which A-stack group this procedure draws from (procedures with
   // similarly-sized A-stacks share; Section 3.1).

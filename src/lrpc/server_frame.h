@@ -7,11 +7,18 @@
 // reads them off the shared A-stack, the whole point of the design), and
 // from a stub-made private copy for parameters whose immutability or type
 // conformance matters (Section 3.5).
+//
+// A frame lives for one call on the server leg of every backend, so it
+// allocates nothing for a procedure with up to kInlineSlots parameters and
+// no private copies: its slot table is inline and left uninitialized until
+// PrepareArguments decodes the in-parameters, and the private copies (copy
+// E) share one per-frame buffer.
 
 #ifndef SRC_LRPC_SERVER_FRAME_H_
 #define SRC_LRPC_SERVER_FRAME_H_
 
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "src/common/ids.h"
@@ -41,12 +48,13 @@ class ServerFrame {
   LrpcRuntime* runtime() { return runtime_; }
 
   // --- Entry-stub work (called by the call path, not by handlers). ---
-  // Makes the private copies (copy E) for immutable/type-checked in-params
-  // and recreates by-ref references; runs the folded type checks. A failed
-  // check aborts the call before the handler runs. When the transport has
-  // already privatized the arguments (message RPC copies every argument
-  // into the server), pass `already_private` to skip the E copies while
-  // still running the folded type checks.
+  // Decodes every in-parameter's slot, makes the private copies (copy E)
+  // for immutable/type-checked in-params and recreates by-ref references;
+  // runs the folded type checks. A failed check aborts the call before the
+  // handler runs. When the transport has already privatized the arguments
+  // (message RPC copies every argument into the server), pass
+  // `already_private` to skip the E copies while still running the folded
+  // type checks. The argument accessors below need a prepared frame.
   Status PrepareArguments(bool already_private = false);
 
   // Register-window mode (docs/fast_path.md): inline-path calls attach the
@@ -107,17 +115,30 @@ class ServerFrame {
   }
 
  private:
+  // One in-parameter's decoded slot. Trivially constructible, so the inline
+  // table costs nothing to construct: PrepareArguments writes the slot of
+  // each in-parameter, and nothing reads any other.
   struct SlotInfo {
-    std::size_t offset = 0;      // Slot base within the A-stack.
-    std::size_t data_offset = 0; // Payload offset (skips length prefix).
-    std::size_t length = 0;      // Actual payload bytes this call.
-    bool out_of_band = false;
-    std::uint64_t oob_index = 0;
-    bool private_copy = false;   // Served from private_bytes_.
-    std::vector<std::uint8_t> private_bytes_;
+    // Payload offset (past any length prefix) in the A-stack segment or the
+    // register window, or in private_ for a private copy.
+    std::size_t data_offset;
+    std::size_t length;         // Actual payload bytes this call.
+    std::uint64_t oob_index;    // The out-of-band segment, if out_of_band.
+    bool out_of_band;
+    bool private_copy;          // Served from private_.
   };
+  static_assert(std::is_trivially_default_constructible_v<SlotInfo>);
+
+  // Slots held inline; a procedure with more parameters spills its table
+  // to the heap.
+  static constexpr std::size_t kInlineSlots = 8;
 
   Status DecodeSlot(int index, SlotInfo* info) const;
+  // The slot of in-parameter `index` of a prepared frame, or an error.
+  Result<const SlotInfo*> PreparedSlot(int index) const;
+  // Copies up to `len` bytes of `slot`'s payload into `out`.
+  Result<std::size_t> ReadSlot(const SlotInfo& slot, void* out,
+                               std::size_t len) const;
 
   LrpcRuntime* runtime_;
   Processor& cpu_;
@@ -128,8 +149,11 @@ class ServerFrame {
   ThreadId thread_;
   CopyStats* copies_;
   std::uint8_t* regs_ = nullptr;  // Register window; null = A-stack mode.
-  std::vector<SlotInfo> slots_;   // One per parameter, filled by Prepare.
   bool prepared_ = false;
+  SlotInfo* slots_ = nullptr;     // inline_slots_ or spilled_, once prepared.
+  SlotInfo inline_slots_[kInlineSlots];
+  std::vector<SlotInfo> spilled_;     // Tables over kInlineSlots.
+  std::vector<std::uint8_t> private_;  // Every private copy's bytes.
 };
 
 }  // namespace lrpc

@@ -17,11 +17,17 @@
 //               seq_cst increment, futex wake; the client's acquire read
 //               pairs).
 //
-// `payload` is the batch's arena: each entry is a ProcEntry header followed
-// by its window, and the next entry starts at the next 4-byte boundary. The
-// server publishes each entry's `status` word after the entry's results, so
-// after a mid-batch death the client can tell the finished entries from the
-// rest.
+// `payload` is the batch's arena: each entry is a ProcEntry header and a
+// window, placed by ProcEntryLayout. The server publishes each entry's
+// `status` word after the entry's results, so after a mid-batch death the
+// client can tell the finished entries from the rest.
+//
+// The channel's first cache line holds the words a call only reads: the
+// doorbells' sleepers counts and the shutdown flag. The second, the hot
+// line, holds what a call writes: the sequence words, the batch header,
+// entry 0's header with its status word, and the first 24 bytes of entry
+// 0's window. A Null, Add or inline Add call, whose window fits those 24
+// bytes, crosses in that one line each way.
 //
 // One batch is outstanding per channel at a time (the parent serializes),
 // so the plain fields need no ordering of their own: they are written
@@ -35,6 +41,8 @@
 #include <cstdint>
 #include <new>
 #include <type_traits>
+
+#include "src/common/cacheline.h"
 
 namespace lrpc {
 
@@ -57,7 +65,7 @@ inline constexpr std::uint32_t kProcDieAfterReturn = 2;
 // An entry's status word before the server finishes the entry.
 inline constexpr std::uint32_t kProcPending = 0;
 
-// The header of one call in the arena; the call's window follows it.
+// The header of one call in the arena.
 struct ProcEntry {
   std::int32_t procedure = -1;
   std::uint32_t inline_window = 0;  // 1: the window is the register window.
@@ -69,16 +77,18 @@ struct ProcEntry {
   std::atomic<std::uint32_t> status{kProcPending};
 };
 
-// Arena bytes of an entry with a `window_len`-byte window: the header, then
-// the window rounded up so the next header stays aligned.
-constexpr std::size_t ProcEntryBytes(std::size_t window_len) {
-  constexpr std::size_t kAlign = alignof(ProcEntry);
-  return sizeof(ProcEntry) + (window_len + kAlign - 1) / kAlign * kAlign;
-}
+// Where one entry's window sits in the arena, and where the header of the
+// entry after it goes (arena offsets).
+struct ProcEntrySpan {
+  std::size_t window = 0;
+  std::size_t next = 0;
+};
 
-// A full batch of the largest windows fits.
+// A full batch of the largest windows fits: under ProcEntryLayout an entry
+// takes at most its header, less than a line of padding in front of a
+// window that starts a line, and its window.
 inline constexpr std::size_t kProcArenaBytes =
-    kProcBatchMax * ProcEntryBytes(kProcPayloadBytes);
+    kProcBatchMax * (sizeof(ProcEntry) + kCacheLineSize + kProcPayloadBytes);
 
 struct ProcChannel {
   // User-provided, so even a value-initializing `new ProcChannel()` leaves
@@ -86,9 +96,8 @@ struct ProcChannel {
   // its first page.
   ProcChannel() {}
 
-  std::atomic<std::uint32_t> call_seq{0};
-  std::atomic<std::uint32_t> accept_seq{0};
-  std::atomic<std::uint32_t> return_seq{0};
+  // --- The cold line: read by every ring, written only by a partner going
+  // to sleep or by a shutdown. ---
   // Sleepers counts for the doorbells' wake elision (FutexDoorbell): a
   // ringer skips the futex syscall while its partner is still polling.
   std::atomic<std::uint32_t> call_sleepers{0};
@@ -96,28 +105,48 @@ struct ProcChannel {
   // Graceful-shutdown flag, polled by the server between batches.
   std::atomic<std::uint32_t> shutdown{0};
 
-  // --- Per-batch header, written by the client before the call_seq store. ---
+  // --- The hot line. ---
+  LRPC_CACHELINE_ALIGNED std::atomic<std::uint32_t> call_seq{0};
+  std::atomic<std::uint32_t> accept_seq{0};
+  std::atomic<std::uint32_t> return_seq{0};
+  // Per-batch header, written by the client before the call_seq store.
   std::uint32_t die_mode = kProcDieNone;
   std::int32_t client_domain = -1;
   std::uint32_t batch_count = 0;
-  // Puts entry 0's header, status word included, on the doorbells' cache
-  // line and its window at the start of the next one, so a synchronous
-  // call's arguments and results never share a line with the words both
-  // processes poll. In scratch runs a window starting on that line made
-  // perfbench's proc_call median 8-16% slower.
-  std::uint32_t reserved[3] = {};
 
-  // The batch arena (see the file comment).
+  // The batch arena (see ProcEntryLayout).
   alignas(ProcEntry) std::uint8_t payload[kProcArenaBytes];
 
-  // The entry `offset` bytes into the arena, and its window.
-  ProcEntry& entry(std::size_t offset) {
-    return *std::launder(reinterpret_cast<ProcEntry*>(payload + offset));
+  // The entry whose header is `header` bytes into the arena, and the window
+  // of an entry laid out by ProcEntryLayout.
+  ProcEntry& entry(std::size_t header) {
+    return *std::launder(reinterpret_cast<ProcEntry*>(payload + header));
   }
-  std::uint8_t* window(std::size_t offset) {
-    return payload + offset + sizeof(ProcEntry);
+  std::uint8_t* window(const ProcEntrySpan& span) {
+    return payload + span.window;
   }
 };
+
+// The arena's one layout rule; the client's layout, the server's walk and
+// the client's read-back all use it. A window goes right behind its header
+// when it fits the rest of that cache line, and at the start of the next
+// line otherwise, so a small window shares its header's line and no window
+// straddles the hot line. The next header follows at the next 4-byte
+// boundary. The server bounds a client-written `window_len` by the arena
+// before it calls this, so no offset here can wrap.
+constexpr ProcEntrySpan ProcEntryLayout(std::size_t header,
+                                        std::size_t window_len) {
+  constexpr std::size_t kAlign = alignof(ProcEntry);
+  constexpr std::size_t kPhase =
+      offsetof(ProcChannel, payload) % kCacheLineSize;
+  const std::size_t behind = header + sizeof(ProcEntry);
+  const std::size_t line_left =
+      (kCacheLineSize - (kPhase + behind) % kCacheLineSize) % kCacheLineSize;
+  const std::size_t window =
+      window_len <= line_left ? behind : behind + line_left;
+  return {.window = window,
+          .next = window + (window_len + kAlign - 1) / kAlign * kAlign};
+}
 
 // The doorbells must be plain lock-free words for the cross-process futexes
 // to mean anything.
@@ -125,8 +154,34 @@ static_assert(std::atomic<std::uint32_t>::is_always_lock_free,
               "proc channel doorbells must be address-free");
 static_assert(std::is_trivially_destructible_v<ProcChannel>,
               "the channel lives in a shared mapping and is never destroyed");
-static_assert(offsetof(ProcChannel, payload) + sizeof(ProcEntry) == 64,
-              "entry 0's window must start the channel's second cache line");
+
+// The audited layout (docs/multiprocess.md).
+inline constexpr std::size_t kProcHotLine =
+    offsetof(ProcChannel, call_seq) / kCacheLineSize;
+static_assert(offsetof(ProcChannel, payload) / kCacheLineSize == kProcHotLine,
+              "the batch header and the arena start on the hot line");
+static_assert(ProcEntryLayout(0, 24).window == sizeof(ProcEntry) &&
+                  (offsetof(ProcChannel, payload) + sizeof(ProcEntry) + 24 -
+                   1) / kCacheLineSize == kProcHotLine,
+              "the sequence words, the batch header, entry 0's header and 24 "
+              "window bytes share one line");
+static_assert(ProcEntryLayout(0, 25).window ==
+                  (kProcHotLine + 1) * kCacheLineSize -
+                      offsetof(ProcChannel, payload),
+              "a longer entry-0 window starts the line after the hot line");
+static_assert((offsetof(ProcChannel, payload) + 12 - 1) / kCacheLineSize ==
+                  kProcHotLine,
+              "payload's first 12 bytes share call_seq's line: the doorbell "
+              "references of perfbench and bench_host_processes pass their "
+              "arguments there");
+static_assert(offsetof(ProcChannel, call_sleepers) / kCacheLineSize !=
+                      kProcHotLine &&
+                  offsetof(ProcChannel, return_sleepers) / kCacheLineSize !=
+                      kProcHotLine &&
+                  offsetof(ProcChannel, shutdown) / kCacheLineSize !=
+                      kProcHotLine &&
+                  offsetof(ProcChannel, payload) < 4096,
+              "the read-mostly words sit on a cold line of the first page");
 
 // The handshake the server process sends over the UNIX-domain control
 // socket right after fork: it announces the export it serves, and the

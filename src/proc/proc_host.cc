@@ -15,6 +15,7 @@
 #include <new>
 #include <vector>
 
+#include "src/common/fast_path.h"
 #include "src/lrpc/interface.h"
 #include "src/lrpc/server_frame.h"
 #include "src/nameserver/name_server.h"
@@ -255,15 +256,15 @@ Status ProcHost::SpawnServer(DomainId server, const Interface* iface) {
   (void)!write(self.ctl_fd, &hello, sizeof(hello));
   close(self.ctl_fd);
 
-  // One scratch A-stack per procedure, built before the first call and
-  // reused by every call, so no call allocates an A-stack on the heap the
-  // child inherited from the client at fork (ServerFrame still sizes its
-  // slot table per call). No client domain maps them; the window crosses
-  // in the channel.
+  // One scratch A-stack per procedure, the size of its window, built
+  // before the first call and reused by every call: together with
+  // ServerFrame's inline slot table, no call allocates on the heap the child
+  // inherited from the client at fork. No client domain maps them; the
+  // window crosses in the channel.
   std::vector<std::unique_ptr<AStackRegion>> scratch;
   for (int p = 0; p < self.iface->procedure_count(); ++p) {
     scratch.push_back(std::make_unique<AStackRegion>(
-        kNoDomain, self.domain, self.iface->pd(p).astack_size, 1,
+        kNoDomain, self.domain, self.iface->pd(p).window_bytes, 1,
         /*secondary=*/false));
   }
 
@@ -287,29 +288,44 @@ Status ProcHost::SpawnServer(DomainId server, const Interface* iface) {
 
     // Accept: from here on, a death is mid-batch, and the client triages
     // each entry by its status word instead of failing the batch retryable.
+    // The batch header is read once: a client that rewrites it mid-batch
+    // changes nothing the handlers see.
     ch->accept_seq.fetch_add(1, std::memory_order_acq_rel);
     const std::uint32_t die = ch->die_mode;
     const std::uint32_t count = std::min(ch->batch_count, kProcBatchMax);
+    const auto client = static_cast<DomainId>(ch->client_domain);
 
     // Serve every entry, then ring the return doorbell once. A chaos death
     // "in the server body" lands before entry count/2 — before the handler
     // of a batch of one — so a batch's corpse holds finished and unfinished
     // entries alike.
-    std::size_t offset = 0;
+    std::size_t header = 0;
     for (std::uint32_t i = 0;
-         i < count && offset + sizeof(ProcEntry) <= kProcArenaBytes; ++i) {
+         i < count && header <= kProcArenaBytes - sizeof(ProcEntry); ++i) {
       if (die == kProcDieInServerBody && i == count / 2) {
         kill(getpid(), SIGKILL);
       }
-      ProcEntry& entry = ch->entry(offset);
-      const std::size_t len = entry.window_len;
-      const Status handler_status = ChildRunHandler(
-          self, cpu, scratch, entry.procedure, entry.inline_window != 0,
-          ch->window(offset), len,
-          kProcArenaBytes - offset - sizeof(ProcEntry));
+      ProcEntry& entry = ch->entry(header);
+      // Client-written: bounded by the arena before any arithmetic, so no
+      // offset derived from it wraps. A window that would run past the
+      // arena's end is refused and ends the walk.
+      const std::uint32_t len = entry.window_len;
+      const ProcEntrySpan span =
+          ProcEntryLayout(header, std::min<std::size_t>(len, kProcArenaBytes));
+      const bool inside =
+          len <= kProcArenaBytes && span.window + len <= kProcArenaBytes;
+      const Status handler_status =
+          inside ? ChildRunHandler(self, cpu, scratch, client, entry.procedure,
+                                   entry.inline_window != 0, ch->window(span),
+                                   len)
+                 : Status(ErrorCode::kInvalidArgument,
+                          "argument window runs past the channel's arena");
       entry.status.store(1 + static_cast<std::uint32_t>(handler_status.code()),
                          std::memory_order_release);
-      offset += ProcEntryBytes(len);
+      if (!inside) {
+        break;
+      }
+      header = span.next;
     }
     handled = seen;
     ch->return_seq.fetch_add(1, std::memory_order_seq_cst);
@@ -322,27 +338,28 @@ Status ProcHost::SpawnServer(DomainId server, const Interface* iface) {
   }
 }
 
+// The server leg in the child: no allocation, no logging, no lock.
+LRPC_FAST_PATH_BEGIN("proc server leg");
+
 Status ProcHost::ChildRunHandler(
     Endpoint& self, Processor& cpu,
-    std::span<const std::unique_ptr<AStackRegion>> scratch, int procedure,
-    bool inline_window, std::uint8_t* window, std::size_t len,
-    std::size_t capacity) {
+    std::span<const std::unique_ptr<AStackRegion>> scratch, DomainId client,
+    int procedure, bool inline_window, std::uint8_t* window,
+    std::size_t len) {
   if (procedure < 0 || procedure >= self.iface->procedure_count()) {
     return Status(ErrorCode::kNoSuchProcedure);
   }
   const ProcedureDescriptor& pd = self.iface->pd(procedure);
   const ProcedureDef& def = *pd.def;
-  const auto client = static_cast<DomainId>(self.channel->client_domain);
   // `len` comes from memory the client process can write. An honest client
   // sends exactly the procedure's window (LrpcRuntime::ProcCallOf): the
-  // register window for an inline call, the whole A-stack otherwise. Any
-  // other length could overrun the scratch A-stack or the arena, or leave
+  // register window for an inline call, the bytes its parameters occupy
+  // otherwise. Any other length could overrun the scratch A-stack, or leave
   // the reused A-stack holding bytes of an earlier call.
-  const std::size_t expected = inline_window ? pd.slot_span : pd.astack_size;
-  if ((inline_window && !pd.inline_eligible) || len != expected ||
-      len > capacity) {
+  const std::size_t expected = inline_window ? pd.slot_span : pd.window_bytes;
+  if ((inline_window && !pd.inline_eligible) || len != expected) {
     return Status(ErrorCode::kInvalidArgument,
-                  "argument window is not the procedure's A-stack");
+                  "argument window is not the procedure's window");
   }
   // The handler runs on the server's own copy of the window, never on the
   // shared bytes, so the client cannot change an argument the handler has
@@ -365,6 +382,8 @@ Status ProcHost::ChildRunHandler(
   std::memcpy(window, own, len);
   return handler_status;
 }
+
+LRPC_FAST_PATH_END("proc server leg");
 
 Status ProcHost::Execute(DomainId server, DomainId client, int procedure,
                          bool inline_window, std::uint8_t* window,
@@ -428,9 +447,10 @@ Status ProcHost::ExecuteBatch(DomainId server, DomainId client,
                                                          : kProcDieNone;
   ch->client_domain = static_cast<std::int32_t>(client);
   ch->batch_count = static_cast<std::uint32_t>(calls.size());
-  std::size_t offset = 0;
+  std::size_t header = 0;
   for (const BatchCall& call : calls) {
-    ProcEntry& entry = ch->entry(offset);
+    const ProcEntrySpan span = ProcEntryLayout(header, call.window_len);
+    ProcEntry& entry = ch->entry(header);
     entry.procedure = call.procedure;
     entry.inline_window = call.inline_window ? 1u : 0u;
     entry.window_len = static_cast<std::uint32_t>(call.window_len);
@@ -438,9 +458,9 @@ Status ProcHost::ExecuteBatch(DomainId server, DomainId client,
     // LRPC_MO(pre-publish-reset)
     entry.status.store(kProcPending, std::memory_order_relaxed);
     if (call.window_len > 0) {
-      std::memcpy(ch->window(offset), call.window, call.window_len);
+      std::memcpy(ch->window(span), call.window, call.window_len);
     }
-    offset += ProcEntryBytes(call.window_len);
+    header = span.next;
   }
   const std::uint32_t accepted_before =
       ch->accept_seq.load(std::memory_order_acquire);
@@ -460,6 +480,7 @@ Status ProcHost::ExecuteBatch(DomainId server, DomainId client,
   auto read_back = [&](const char* unfinished) {
     std::size_t at = 0;
     for (BatchCall& call : calls) {
+      const ProcEntrySpan span = ProcEntryLayout(at, call.window_len);
       const std::uint32_t status =
           ch->entry(at).status.load(std::memory_order_acquire);
       if (unfinished != nullptr && status == kProcPending) {
@@ -468,10 +489,10 @@ Status ProcHost::ExecuteBatch(DomainId server, DomainId client,
         call.leg = Status::Ok();
         call.handler_status = DecodeHandlerStatus(status);
         if (call.handler_status.ok() && call.window_len > 0) {
-          std::memcpy(call.window, ch->window(at), call.window_len);
+          std::memcpy(call.window, ch->window(span), call.window_len);
         }
       }
-      at += ProcEntryBytes(call.window_len);
+      at = span.next;
     }
   };
   // A death before accept fails every call retryable; after it, the status

@@ -1,10 +1,12 @@
 // ProcHost: the multi-process backend behind RuntimeBackend::kMultiProcess
 // (docs/multiprocess.md).
 //
-// Each server domain becomes a real forked process. The A-stack argument
-// window crosses a MAP_SHARED channel segment behind a futex doorbell (the
-// domain transfer); binding admission runs over a UNIX-domain socket
-// handshake checked against the nameserver; and a ProcSupervisor watches
+// Each server domain becomes a real forked process. A call's argument
+// window (the bytes its procedure's parameters occupy, or its register
+// window) crosses a MAP_SHARED channel segment behind a futex doorbell, the
+// domain transfer; a window of up to 24 bytes rides the doorbells' own
+// cache line (proc_channel.h). Binding admission runs over a UNIX-domain
+// socket handshake checked against the nameserver; and a ProcSupervisor watches
 // every child so peer death — deliberate (chaos SIGKILL schedules), induced
 // (wedged peers past the call deadline) or spontaneous — is detected,
 // reaped, and fed to the §5.3 termination collector, never hung on.
@@ -116,20 +118,23 @@ class ProcHost final : public ProcTransport {
     bool reaped = false;
   };
 
-  // Serve loop of the forked child; never returns.
+  // Serve loop of the forked child; never returns. It reads each batch's
+  // header once, and walks the arena with ProcEntryLayout, checking every
+  // window against the arena's end before it touches it.
   [[noreturn]] void ChildServe(Endpoint& self);
   // One handler execution in the child for the entry whose window is
-  // `window` (`capacity` bytes of arena from there on). The handler runs on
-  // the procedure's entry of `scratch` (one A-stack per procedure, built
-  // before the serve loop): the window is copied in, served from the
-  // A-stack or its linkage's register window, and copied back. The other
-  // arguments are entry fields, read once by the caller; a `len` other than
-  // the procedure's exact window fails kInvalidArgument.
+  // `window`, which the caller has checked lies inside the arena. The
+  // handler runs on the procedure's entry of `scratch` (one A-stack per
+  // procedure, built before the serve loop): the window is copied in,
+  // served from the A-stack or its linkage's register window, and copied
+  // back, and nothing is allocated. `client` is the batch's client domain
+  // and the other arguments are entry fields, each read once by the
+  // caller; a `len` other than the procedure's exact window fails
+  // kInvalidArgument.
   Status ChildRunHandler(Endpoint& self, Processor& cpu,
                          std::span<const std::unique_ptr<AStackRegion>> scratch,
-                         int procedure, bool inline_window,
-                         std::uint8_t* window, std::size_t len,
-                         std::size_t capacity);
+                         DomainId client, int procedure, bool inline_window,
+                         std::uint8_t* window, std::size_t len);
 
   // Reaps (if needed) and marks an endpoint's corpse; idempotent.
   void MarkDead(Endpoint& ep);

@@ -12,6 +12,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstddef>
+#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <new>
@@ -25,9 +27,49 @@
 #include "src/lrpc/async_call.h"
 #include "src/lrpc/chaos_testbed.h"
 #include "src/lrpc/supervised_call.h"
+#include "src/proc/futex_doorbell.h"
 #include "src/proc/proc_host.h"
 #include "src/proc/proc_segment.h"
 #include "src/proc/proc_world.h"
+
+// Every allocation through the global operator new in this binary, counted
+// so a test can ask a forked server how many allocations it has made: after
+// fork the child counts its own. The deletes are replaced with them, so
+// every pointer these news return goes back to free().
+namespace {
+std::atomic<std::uint64_t> g_allocations{0};
+
+void* CountedAlloc(std::size_t size) noexcept {
+  // LRPC_MO(stat-counter)
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size == 0 ? 1 : size);
+}
+
+void* CountedAllocOrThrow(std::size_t size) {
+  void* p = CountedAlloc(size);
+  if (p == nullptr) {
+    throw std::bad_alloc();
+  }
+  return p;
+}
+}  // namespace
+
+void* operator new(std::size_t size) { return CountedAllocOrThrow(size); }
+void* operator new[](std::size_t size) { return CountedAllocOrThrow(size); }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return CountedAlloc(size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return CountedAlloc(size);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 
 namespace lrpc {
 namespace {
@@ -80,6 +122,13 @@ struct CustomProcWorld {
   ClientBinding* binding = nullptr;
   Status spawn;
 };
+
+ProcedureDef NullDef() {
+  ProcedureDef def;
+  def.name = "Null";
+  def.handler = [](ServerFrame&) { return Status::Ok(); };
+  return def;
+}
 
 ProcedureDef AddDef() {
   ProcedureDef def;
@@ -288,6 +337,77 @@ TEST(ProcBackendTest, SpawnIsRefusedWithoutAMatchingExport) {
   EXPECT_EQ(status.code(), ErrorCode::kNoSuchInterface);
 }
 
+// --- The arena's layout rule (ProcEntryLayout; no fork needed). ---
+
+// The cache line of the channel that holds arena byte `offset`.
+std::size_t LineOf(std::size_t offset) {
+  return (offsetof(ProcChannel, payload) + offset) / kCacheLineSize;
+}
+
+// Every header position across two lines, every window length up to two
+// lines: a window that fits the rest of its header's line sits right behind
+// the header on that line; any other starts the next line.
+TEST(ProcChannelLayoutTest, AWindowSharesItsHeadersLineOnlyWhenItFits) {
+  for (std::size_t header = 0; header < 2 * kCacheLineSize;
+       header += alignof(ProcEntry)) {
+    const std::size_t behind = header + sizeof(ProcEntry);
+    const std::size_t line_left =
+        (LineOf(behind - 1) + 1) * kCacheLineSize -
+        (offsetof(ProcChannel, payload) + behind);
+    for (std::size_t len = 0; len <= 2 * kCacheLineSize + 1; ++len) {
+      SCOPED_TRACE(testing::Message()
+                   << "header " << header << ", len " << len);
+      const ProcEntrySpan span = ProcEntryLayout(header, len);
+      if (len <= line_left) {
+        EXPECT_EQ(span.window, behind);
+        if (len > 0) {
+          EXPECT_EQ(LineOf(span.window + len - 1), LineOf(behind - 1));
+        }
+      } else {
+        EXPECT_EQ((offsetof(ProcChannel, payload) + span.window) %
+                      kCacheLineSize,
+                  0u);
+        EXPECT_EQ(LineOf(span.window), LineOf(behind - 1) + 1);
+      }
+      EXPECT_GE(span.next, span.window + len);
+      EXPECT_LT(span.next, span.window + len + alignof(ProcEntry));
+      EXPECT_EQ(span.next % alignof(ProcEntry), 0u);
+    }
+  }
+}
+
+// Seeded batches of up to 16 windows of up to kProcPayloadBytes: no two
+// entries overlap, and every batch ends inside the arena; 16 windows of
+// 4096 bytes do too.
+TEST(ProcChannelLayoutTest, EntriesNeverOverlapAndFullBatchesFitTheArena) {
+  Rng rng(104729);
+  for (int batch = 0; batch < 2000; ++batch) {
+    std::size_t header = 0;
+    std::size_t end = 0;  // Where the previous entry's bytes end.
+    const std::size_t entries = 1 + rng.Next() % kProcBatchMax;
+    for (std::size_t i = 0; i < entries; ++i) {
+      const std::size_t len = rng.Next() % 2 == 0
+                                  ? rng.Next() % kCacheLineSize
+                                  : rng.Next() % (kProcPayloadBytes + 1);
+      const ProcEntrySpan span = ProcEntryLayout(header, len);
+      ASSERT_GE(header, end) << "batch " << batch << ", entry " << i;
+      ASSERT_GE(span.window, header + sizeof(ProcEntry));
+      end = span.window + len;
+      header = span.next;
+    }
+    ASSERT_LE(end, kProcArenaBytes) << "batch " << batch;
+  }
+
+  std::size_t header = 0;
+  std::size_t end = 0;
+  for (std::uint32_t i = 0; i < kProcBatchMax; ++i) {
+    const ProcEntrySpan span = ProcEntryLayout(header, kProcPayloadBytes);
+    end = span.window + kProcPayloadBytes;
+    header = span.next;
+  }
+  EXPECT_LE(end, kProcArenaBytes);
+}
+
 // --- The server checks the window length it reads from shared memory. ---
 
 // Through either entry point, a full channel window sent to a procedure
@@ -354,6 +474,199 @@ TEST(ProcBackendTest, ShortWindowIsRejectedAndTheServerSurvives) {
   EXPECT_EQ(world.counters().calls.load(std::memory_order_acquire), 2u);
 }
 
+// One entry of a batch a hostile client writes straight into the channel.
+struct ForgedEntry {
+  int procedure;
+  std::uint32_t window_len;
+};
+
+// Writes `batch` into `world`'s channel, as a hostile client process could,
+// and rings it. Returns the return doorbell's value, or the old one if the
+// server never rang back.
+std::uint32_t RingForgedBatch(ProcWorld& world,
+                              std::span<const ForgedEntry> batch) {
+  ProcChannel* ch = world.host().channel(world.server_domain());
+  ch->die_mode = kProcDieNone;
+  ch->client_domain = static_cast<std::int32_t>(world.client_domain());
+  ch->batch_count = static_cast<std::uint32_t>(batch.size());
+  std::size_t header = 0;
+  for (const ForgedEntry& forged : batch) {
+    if (header > kProcArenaBytes - sizeof(ProcEntry)) {
+      break;
+    }
+    ProcEntry& entry = ch->entry(header);
+    entry.procedure = forged.procedure;
+    entry.inline_window = 0;
+    entry.window_len = forged.window_len;
+    // LRPC_MO(pre-publish-reset)
+    entry.status.store(kProcPending, std::memory_order_relaxed);
+    header = ProcEntryLayout(header, forged.window_len).next;
+  }
+  const std::uint32_t before = ch->return_seq.load(std::memory_order_acquire);
+  ch->call_seq.fetch_add(1, std::memory_order_seq_cst);
+  FutexDoorbell::Wake(&ch->call_seq, &ch->call_sleepers);
+  std::uint32_t now = before;
+  for (int waited_ms = 0; now == before && waited_ms < 2000; waited_ms += 50) {
+    now = FutexDoorbell::WaitWhile(&ch->return_seq, &ch->return_sleepers,
+                                   before, 50);
+  }
+  return now;
+}
+
+// The entries of a forged batch that the server's walk reaches: those whose
+// header lies in the arena behind windows that all end inside it. Each must
+// read kInvalidArgument. Returns how many there were.
+std::size_t ExpectReachedEntriesRefused(ProcChannel* ch,
+                                        std::span<const ForgedEntry> batch) {
+  std::size_t reached = 0;
+  std::size_t header = 0;
+  for (const ForgedEntry& forged : batch) {
+    if (header > kProcArenaBytes - sizeof(ProcEntry)) {
+      break;
+    }
+    ++reached;
+    EXPECT_EQ(ch->entry(header).status.load(std::memory_order_acquire),
+              1 + static_cast<std::uint32_t>(ErrorCode::kInvalidArgument))
+        << "entry " << reached - 1 << ", window_len " << forged.window_len;
+    const ProcEntrySpan span = ProcEntryLayout(header, forged.window_len);
+    if (span.window > kProcArenaBytes ||
+        forged.window_len > kProcArenaBytes - span.window) {
+      break;
+    }
+    header = span.next;
+  }
+  return reached;
+}
+
+// Window lengths the client writes cannot walk the server out of its
+// arena. Forged batches of hostile lengths, of 16 entries that run past the
+// arena's end, and of an exact BigInOut window that the line rule pushes
+// past the end, are refused entry by entry without running a handler; the
+// server still rings back and then serves an Add.
+TEST(ProcBackendTest, ForgedWindowLengthsStayInsideTheArena) {
+  SKIP_WITHOUT_FORK();
+  ProcWorld world;
+  ASSERT_TRUE(world.ok()) << world.spawn_status().detail();
+  ProcChannel* ch = world.host().channel(world.server_domain());
+  ASSERT_NE(ch, nullptr);
+  const int null_proc = world.null_proc();
+  const int big_proc = world.biginout_proc();
+  const auto big_window = static_cast<std::uint32_t>(
+      world.binding().interface_spec()->pd(big_proc).window_bytes);
+  ASSERT_EQ(big_window, 400u);
+
+  std::vector<ForgedEntry> hostile;
+  for (const std::uint32_t len : {0u, 24u, 25u, 4096u, 4097u, 0xFFFFFFFFu}) {
+    hostile.push_back({null_proc, len});
+  }
+  const std::vector<ForgedEntry> past_the_end(
+      kProcBatchMax,
+      ForgedEntry{null_proc, static_cast<std::uint32_t>(kProcArenaBytes / 4)});
+  // A first entry whose window ends where the second entry's header must
+  // sit; its own window starts the line after the hot line.
+  auto filler_to = [null_proc](std::size_t header) {
+    const std::size_t window = ProcEntryLayout(0, kProcPayloadBytes).window;
+    return ForgedEntry{null_proc, static_cast<std::uint32_t>(header - window)};
+  };
+  // An exact BigInOut window whose header fits, but which the line rule
+  // pushes past the arena's end: 400 bytes behind the header would end at
+  // the arena's last byte, and the start of the next line, or the arena's
+  // end itself, lies beyond it.
+  const std::vector<ForgedEntry> pushed_past = {
+      filler_to(kProcArenaBytes - sizeof(ProcEntry) - big_window),
+      {big_proc, big_window}};
+  const std::vector<ForgedEntry> pushed_beyond = {
+      filler_to(kProcArenaBytes - sizeof(ProcEntry)), {big_proc, big_window}};
+  ASSERT_GT(ProcEntryLayout(kProcArenaBytes - sizeof(ProcEntry) - big_window,
+                            big_window)
+                .window,
+            kProcArenaBytes - sizeof(ProcEntry) - big_window +
+                sizeof(ProcEntry));
+  ASSERT_GT(ProcEntryLayout(kProcArenaBytes - sizeof(ProcEntry), big_window)
+                .window,
+            kProcArenaBytes);
+
+  struct Case {
+    const char* name;
+    const std::vector<ForgedEntry>* batch;
+    std::size_t reached;
+  } cases[] = {{"hostile lengths", &hostile, hostile.size()},
+               // The fourth window runs past the arena's end.
+               {"16 entries past the end", &past_the_end, 4},
+               {"window pushed past the end", &pushed_past, 2},
+               {"window pushed beyond the end", &pushed_beyond, 2}};
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const std::uint32_t returned =
+        ch->return_seq.load(std::memory_order_acquire);
+    ASSERT_NE(RingForgedBatch(world, *c.batch), returned);
+    EXPECT_EQ(ExpectReachedEntriesRefused(ch, *c.batch), c.reached);
+  }
+
+  EXPECT_EQ(world.counters().calls.load(std::memory_order_acquire), 0u);
+  std::int32_t sum = 0;
+  ASSERT_TRUE(world.CallAdd(1200, 34, &sum).ok());
+  EXPECT_EQ(sum, 1234);
+  EXPECT_EQ(world.counters().calls.load(std::memory_order_acquire), 1u);
+}
+
+// The server reads the batch header once: entry 0's handler rewrites the
+// channel's client_domain, standing in for a client process writing it
+// mid-batch, and entry 1's handler still sees the batch's client.
+TEST(ProcBackendTest, ClientDomainIsReadOncePerBatch) {
+  SKIP_WITHOUT_FORK();
+  struct Shared {
+    std::atomic<ProcChannel*> channel{nullptr};
+    std::atomic<std::int32_t> seen_client{-1};
+  };
+  ProcSegment segment;
+  ASSERT_TRUE(segment.Map(sizeof(Shared)).ok());
+  auto* shared = new (segment.data()) Shared();
+  constexpr std::int32_t kRewritten = 999;
+
+  ProcedureDef rewrite;
+  rewrite.name = "RewriteClient";
+  rewrite.handler = [shared](ServerFrame&) {
+    shared->channel.load(std::memory_order_acquire)->client_domain = kRewritten;
+    return Status::Ok();
+  };
+  ProcedureDef record;
+  record.name = "RecordClient";
+  record.handler = [shared](ServerFrame& frame) {
+    shared->seen_client.store(static_cast<std::int32_t>(frame.client_domain()),
+                              std::memory_order_release);
+    return Status::Ok();
+  };
+  CustomProcWorld world({std::move(rewrite), std::move(record)});
+  ASSERT_TRUE(world.spawn.ok()) << world.spawn.detail();
+  ProcChannel* channel = world.host.channel(world.server);
+  ASSERT_NE(channel, nullptr);
+  shared->channel.store(channel, std::memory_order_release);
+  ASSERT_NE(static_cast<std::int32_t>(world.client), kRewritten);
+
+  const std::size_t window =
+      world.binding->interface_spec()->pd(0).window_bytes;
+  std::vector<std::uint8_t> windows(2 * window);
+  ProcTransport::BatchCall calls[2];
+  for (std::size_t i = 0; i < 2; ++i) {
+    calls[i].procedure = static_cast<int>(i);
+    calls[i].window = windows.data() + i * window;
+    calls[i].window_len = window;
+  }
+  ASSERT_TRUE(world.host
+                  .ExecuteBatch(world.server, world.client,
+                                std::span<ProcTransport::BatchCall>(calls),
+                                ProcTransport::KillPhase::kNone)
+                  .ok());
+  for (const ProcTransport::BatchCall& call : calls) {
+    ASSERT_TRUE(call.leg.ok()) << ErrorCodeName(call.leg.code());
+    EXPECT_TRUE(call.handler_status.ok());
+  }
+  EXPECT_EQ(channel->client_domain, kRewritten);
+  EXPECT_EQ(shared->seen_client.load(std::memory_order_acquire),
+            static_cast<std::int32_t>(world.client));
+}
+
 // The server reads an inline call's window once, into its own register
 // window: a handler that reads its argument, waits while a client thread
 // rewrites the channel window, and reads the argument again sees one value.
@@ -395,8 +708,10 @@ TEST(ProcBackendTest, InlineWindowIsReadOnceByTheServer) {
   ProcChannel* channel = world.host.channel(world.server);
   ASSERT_NE(channel, nullptr);
   const std::size_t a_at = ParamOffset(world.def(0), 0);
+  const ProcEntrySpan entry0 = ProcEntryLayout(
+      0, world.binding->interface_spec()->pd(0).slot_span);
 
-  std::thread rewriter([shared, channel, a_at] {
+  std::thread rewriter([shared, channel, a_at, entry0] {
     for (int waited_ms = 0;
          shared->first_read.load(std::memory_order_acquire) == 0 &&
          waited_ms < 2000;
@@ -407,7 +722,7 @@ TEST(ProcBackendTest, InlineWindowIsReadOnceByTheServer) {
     // this load orders the rewrite after the client's own write.
     (void)channel->call_seq.load(std::memory_order_acquire);
     const std::int32_t rewrite = 222;
-    std::memcpy(channel->window(0) + a_at, &rewrite, sizeof(rewrite));
+    std::memcpy(channel->window(entry0) + a_at, &rewrite, sizeof(rewrite));
     shared->rewritten.store(1, std::memory_order_release);
   });
   std::uint8_t block[kInlineSlotSpanLimit] = {};
@@ -482,6 +797,124 @@ TEST(ProcBackendTest, ReusedScratchAStacksServeSeededMixedCalls) {
   }
   EXPECT_EQ(world.counters().calls.load(std::memory_order_acquire),
             static_cast<std::uint64_t>(kCalls));
+}
+
+// Neither the forked server's serve loop nor its server frames allocate:
+// across 1000 calls of Null, Add, inline Add and BigInOut, the number of
+// operator new calls the server process has made does not move.
+TEST(ProcBackendTest, TheServerProcessAllocatesNothingPerCall) {
+  SKIP_WITHOUT_FORK();
+  ProcedureDef big;
+  big.name = "BigInOut";
+  big.params = {{.name = "in", .direction = ParamDirection::kIn,
+                 .size = kBigSize},
+                {.name = "out", .direction = ParamDirection::kOut,
+                 .size = kBigSize}};
+  big.handler = [](ServerFrame& frame) -> Status {
+    std::uint8_t buffer[kBigSize];
+    Result<std::size_t> n = frame.ReadArg(0, buffer, sizeof(buffer));
+    if (!n.ok()) {
+      return n.status();
+    }
+    std::reverse(buffer, buffer + kBigSize);
+    return frame.WriteResult(1, buffer, kBigSize);
+  };
+  ProcedureDef allocations;
+  allocations.name = "Allocations";
+  allocations.params = {{.name = "count", .direction = ParamDirection::kOut,
+                         .size = sizeof(std::uint64_t)}};
+  allocations.handler = [](ServerFrame& frame) {
+    // LRPC_MO(stat-counter)
+    return frame.Result_<std::uint64_t>(
+        0, g_allocations.load(std::memory_order_relaxed));
+  };
+  CustomProcWorld world(
+      {NullDef(), AddDef(), std::move(big), std::move(allocations)});
+  ASSERT_TRUE(world.spawn.ok()) << world.spawn.detail();
+  constexpr int kNull = 0;
+  constexpr int kAdd = 1;
+  constexpr int kBig = 2;
+  constexpr int kAllocations = 3;
+  ASSERT_TRUE(world.binding->interface_spec()->pd(kAdd).inline_eligible);
+  auto server_allocations = [&world] {
+    std::uint64_t count = 0;
+    const CallRet rets[] = {CallRet::Of(&count)};
+    EXPECT_TRUE(world.Call(kAllocations, {}, rets).ok());
+    return count;
+  };
+
+  const std::uint64_t before = server_allocations();
+  const std::size_t a_at = ParamOffset(world.def(kAdd), 0);
+  const std::size_t b_at = ParamOffset(world.def(kAdd), 1);
+  const std::size_t sum_at = ParamOffset(world.def(kAdd), 2);
+  std::uint8_t in[kBigSize];
+  std::uint8_t out[kBigSize];
+  for (std::int32_t i = 0; i < 250; ++i) {
+    ASSERT_TRUE(world.Call(kNull, {}, {}).ok());
+
+    std::int32_t sum = 0;
+    const CallArg args[] = {CallArg::Of(i), CallArg::Of(i)};
+    const CallRet rets[] = {CallRet::Of(&sum)};
+    ASSERT_TRUE(world.Call(kAdd, args, rets).ok());
+    ASSERT_EQ(sum, 2 * i);
+
+    std::uint8_t block[kInlineSlotSpanLimit] = {};
+    const std::int32_t minus = -i;
+    std::memcpy(block + a_at, &i, sizeof(i));
+    std::memcpy(block + b_at, &minus, sizeof(minus));
+    ASSERT_TRUE(world.runtime
+                    .CallInline(world.cpu(), world.thread, *world.binding,
+                                kAdd, block, block)
+                    .ok());
+    std::memcpy(&sum, block + sum_at, sizeof(sum));
+    ASSERT_EQ(sum, 0);
+
+    std::fill(std::begin(in), std::end(in), static_cast<std::uint8_t>(i));
+    in[0] = 0xff;
+    const CallArg big_args[] = {CallArg(in, kBigSize)};
+    const CallRet big_rets[] = {CallRet(out, kBigSize)};
+    ASSERT_TRUE(world.Call(kBig, big_args, big_rets).ok());
+    ASSERT_EQ(out[kBigSize - 1], 0xff);
+  }
+  EXPECT_EQ(server_allocations(), before);
+}
+
+// The in-process server leg does not allocate either: on the simulator a
+// whole call of Null, Add, inline Add or BigInOut makes no operator new
+// call. (The count lives in this binary, so the test does too.)
+TEST(ServerFrameTest, InProcessCallsAllocateNothing) {
+  Testbed bed;
+  const ProcedureDescriptor& add = bed.interface_spec()->pd(bed.add_proc());
+  ASSERT_TRUE(add.inline_eligible);
+  const std::size_t a_at = ParamOffset(*add.def, 0);
+  const std::size_t sum_at = ParamOffset(*add.def, 2);
+  std::uint8_t in[kBigSize] = {};
+  std::uint8_t out[kBigSize];
+  auto round = [&](std::int32_t i) {
+    std::int32_t sum = 0;
+    ASSERT_TRUE(bed.CallNull().ok());
+    ASSERT_TRUE(bed.CallAdd(i, i, &sum).ok());
+    ASSERT_EQ(sum, 2 * i);
+    std::uint8_t block[kInlineSlotSpanLimit] = {};
+    std::memcpy(block + a_at, &i, sizeof(i));
+    ASSERT_TRUE(bed.runtime()
+                    .CallInline(bed.cpu(), bed.client_thread(), bed.binding(),
+                                bed.add_proc(), block, block)
+                    .ok());
+    std::memcpy(&sum, block + sum_at, sizeof(sum));
+    ASSERT_EQ(sum, i);
+    in[0] = static_cast<std::uint8_t>(i);
+    ASSERT_TRUE(bed.CallBigInOut(in, out).ok());
+    ASSERT_EQ(out[kBigSize - 1], in[0]);
+  };
+  round(0);  // Lazy set-up, such as the first E-stack, happens here.
+  // LRPC_MO(stat-counter)
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  for (std::int32_t i = 1; i <= 250; ++i) {
+    round(i);
+  }
+  // LRPC_MO(stat-counter)
+  EXPECT_EQ(g_allocations.load(std::memory_order_relaxed), before);
 }
 
 // A call the channel cannot carry — a window over kProcPayloadBytes, or a
@@ -907,7 +1340,7 @@ TEST(ProcAsyncTest, WindowsUpToThePayloadShareTheBatchDoorbell) {
   EXPECT_EQ(world.host.transfers(), 1u);
 }
 
-// An entry whose window is longer than its procedure's A-stack is refused
+// An entry whose window is longer than its procedure's window is refused
 // on its own: the server runs neither its handler nor copies it, serves the
 // entries around it in the same batch, and keeps serving afterwards.
 TEST(ProcAsyncTest, OversizedBatchEntryIsRejectedAndTheServerSurvives) {
@@ -916,8 +1349,8 @@ TEST(ProcAsyncTest, OversizedBatchEntryIsRejectedAndTheServerSurvives) {
   ASSERT_TRUE(world.ok()) << world.spawn_status().detail();
 
   const std::size_t exact =
-      world.binding().interface_spec()->pd(world.null_proc()).astack_size;
-  // 1 KiB fits the channel arena but is far longer than Null's A-stack.
+      world.binding().interface_spec()->pd(world.null_proc()).window_bytes;
+  // 1 KiB fits the channel arena but is far longer than Null's window.
   constexpr std::size_t kOversized = 1024;
   ASSERT_GT(kOversized, exact);
   std::vector<std::uint8_t> small(2 * exact);
@@ -960,10 +1393,10 @@ TEST(ProcAsyncTest, MidBatchDeathIsTriagedPerEntry) {
   // Drive the transport directly: four Nulls with a SIGKILL armed inside
   // the server body — the child dies halfway (before entry batch/2 == 2),
   // so the status words split the batch into finished and unfinished halves.
-  // Each entry carries Null's whole A-stack, the exact window an honest
-  // client sends (LrpcRuntime::ProcCallOf).
+  // Each entry carries Null's window, the exact bytes an honest client
+  // sends (LrpcRuntime::ProcCallOf).
   const std::size_t window_len =
-      world.binding().interface_spec()->pd(world.null_proc()).astack_size;
+      world.binding().interface_spec()->pd(world.null_proc()).window_bytes;
   std::vector<std::uint8_t> windows(4 * window_len);
   ProcTransport::BatchCall calls[4];
   for (std::size_t i = 0; i < 4; ++i) {
