@@ -50,8 +50,8 @@ class ProcTransport {
   //   kInServerBody  the server dies after accepting, inside the handler —
   //                  the client observes kCallFailed.
   //   kAfterReturn   the server dies after ringing the return doorbell —
-  //                  the call completes normally; the supervisor collects
-  //                  the corpse out-of-band.
+  //                  the call completes normally; the host reaps the
+  //                  corpse, and the next call finds it dead.
   enum class KillPhase : std::uint8_t {
     kNone,
     kBeforeAccept,

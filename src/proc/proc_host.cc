@@ -26,6 +26,17 @@ namespace lrpc {
 
 namespace {
 
+// Futex slice between liveness checks while a batch is outstanding.
+constexpr int kWaitSliceMs = 2;
+// Wall deadline for the spawn handshake over the control socket.
+constexpr int kHelloDeadlineMs = 5000;
+// How long a stop waits for a server to leave its serve loop before it
+// SIGKILLs it.
+constexpr int kStopGraceMs = 500;
+// The server's futex slice while it waits for a batch: how often an idle
+// server polls the shutdown flag and whether its client is still alive.
+constexpr int kIdleSliceMs = 50;
+
 // Reads exactly `len` bytes from `fd`, polling with a wall deadline so a
 // child that dies before (or while) sending its hello cannot hang the spawn.
 bool ReadFullWithDeadline(int fd, void* buffer, std::size_t len,
@@ -96,36 +107,8 @@ ProcHost::ProcHost(LrpcRuntime& runtime, Options options)
 }
 
 ProcHost::~ProcHost() {
-  // Tear every surviving server down: graceful first (shutdown flag plus a
-  // doorbell ring), SIGKILL if a child wedges past a short grace window.
   for (auto& [domain, ep] : endpoints_) {
-    if (ep.live && ep.pid > 0) {
-      // LRPC_MO(stop-flag)
-      ep.channel->shutdown.store(1, std::memory_order_relaxed);
-      FutexDoorbell::Wake(&ep.channel->call_seq,
-                          &ep.channel->call_sleepers);
-      int wait_status = 0;
-      bool reaped = false;
-      for (int waited_ms = 0; waited_ms < 500; waited_ms += 10) {
-        const pid_t r = waitpid(ep.pid, &wait_status, WNOHANG);
-        if (r != 0) {
-          reaped = true;
-          break;
-        }
-        usleep(10 * 1000);
-      }
-      if (!reaped) {
-        kill(ep.pid, SIGKILL);
-        (void)waitpid(ep.pid, &wait_status, 0);
-      }
-      ep.live = false;
-      ep.reaped = true;
-      supervisor_.Unwatch(domain);
-    }
-    if (ep.ctl_fd >= 0) {
-      close(ep.ctl_fd);
-      ep.ctl_fd = -1;
-    }
+    Stop(ep);
   }
   endpoints_.clear();
   runtime_.AttachProcTransport(nullptr);
@@ -164,17 +147,9 @@ Status ProcHost::SpawnServer(DomainId server, const Interface* iface) {
   LRPC_RETURN_IF_ERROR(ep.segment.Map(sizeof(ProcChannel)));
   ep.channel = new (ep.segment.data()) ProcChannel();
 
-  // The liveness pipe: the child holds the write end for its whole life, so
-  // its death (any death) hangs up the read end in the supervisor's epoll.
-  int liveness[2] = {-1, -1};
-  if (pipe(liveness) != 0) {
-    return Status(ErrorCode::kOutOfMemory, "liveness pipe failed");
-  }
   // The control socket carries the binding handshake (ProcHello).
   int ctl[2] = {-1, -1};
   if (socketpair(AF_UNIX, SOCK_STREAM, 0, ctl) != 0) {
-    close(liveness[0]);
-    close(liveness[1]);
     return Status(ErrorCode::kOutOfMemory, "control socketpair failed");
   }
 
@@ -183,34 +158,28 @@ Status ProcHost::SpawnServer(DomainId server, const Interface* iface) {
   auto [it, inserted] = endpoints_.emplace(server, std::move(ep));
   Endpoint& slot = it->second;
 
+  const int client_pid = static_cast<int>(getpid());
   const pid_t pid = fork();
   if (pid == 0) {
-    // Server process: keep the liveness write end open forever, drop the
-    // parent-side ends, and serve until shutdown or SIGKILL.
-    close(liveness[0]);
+    // Server process: drop the parent's end of the socket, and serve until
+    // shutdown, SIGKILL or the client's death.
     close(ctl[0]);
-    slot.ctl_fd = ctl[1];
-    ChildServe(slot);  // [[noreturn]]
+    ChildServe(slot, ctl[1], client_pid);  // [[noreturn]]
   }
+  close(ctl[1]);
   if (pid < 0) {
-    close(liveness[0]);
-    close(liveness[1]);
     close(ctl[0]);
-    close(ctl[1]);
     endpoints_.erase(it);
     return Status(ErrorCode::kOutOfMemory, "fork failed");
   }
-
-  close(liveness[1]);
-  close(ctl[1]);
   slot.pid = static_cast<int>(pid);
-  slot.ctl_fd = ctl[0];
 
   // Binding admission: the child announces what it serves over the UNIX
   // socket; admit only if the claim matches the nameserver's registration.
   ProcHello hello;
-  bool admitted = ReadFullWithDeadline(ctl[0], &hello, sizeof(hello),
-                                       options_.hello_deadline_ms);
+  bool admitted =
+      ReadFullWithDeadline(ctl[0], &hello, sizeof(hello), kHelloDeadlineMs);
+  close(ctl[0]);
   if (admitted) {
     admitted = hello.magic == kProcHelloMagic &&
                hello.domain == static_cast<std::int32_t>(server) &&
@@ -223,21 +192,16 @@ Status ProcHost::SpawnServer(DomainId server, const Interface* iface) {
     kill(pid, SIGKILL);
     int wait_status = 0;
     (void)waitpid(pid, &wait_status, 0);
-    close(liveness[0]);
-    close(ctl[0]);
     endpoints_.erase(it);
     return Status(ErrorCode::kBindingRefused,
                   "proc hello handshake failed or mismatched the export");
   }
-  close(ctl[0]);
-  slot.ctl_fd = -1;
-
-  supervisor_.Watch(server, slot.pid, liveness[0]);
   slot.live = true;
   return Status::Ok();
 }
 
-[[noreturn]] void ProcHost::ChildServe(Endpoint& self) {
+[[noreturn]] void ProcHost::ChildServe(Endpoint& self, int ctl_fd,
+                                       int client_pid) {
   // Real per-domain rights: this server may touch only its own channel.
   // Sibling channels stay mapped (fork inherits the world) but go PROT_NONE,
   // the mprotect expression of the paper's pair-wise sharing rule.
@@ -253,8 +217,8 @@ Status ProcHost::SpawnServer(DomainId server, const Interface* iface) {
   hello.procedures = static_cast<std::uint32_t>(self.iface->procedure_count());
   std::snprintf(hello.name, sizeof(hello.name), "%s",
                 self.iface->name().c_str());
-  (void)!write(self.ctl_fd, &hello, sizeof(hello));
-  close(self.ctl_fd);
+  (void)!write(ctl_fd, &hello, sizeof(hello));
+  close(ctl_fd);
 
   // One scratch A-stack per procedure, the size of its window, built
   // before the first call and reused by every call: together with
@@ -283,7 +247,12 @@ Status ProcHost::SpawnServer(DomainId server, const Interface* iface) {
         _exit(0);
       }
       seen = FutexDoorbell::WaitWhile(&ch->call_seq, &ch->call_sleepers,
-                                      handled, 50);
+                                      handled, kIdleSliceMs);
+      // An idle slice ran out: a client process that died (abort, SIGKILL)
+      // has left this server to another parent, and nothing will call it.
+      if (seen == handled && getppid() != client_pid) {
+        _exit(0);
+      }
     }
 
     // Accept: from here on, a death is mid-batch, and the client triages
@@ -423,19 +392,17 @@ Status ProcHost::ExecuteBatch(DomainId server, DomainId client,
   if (ep == nullptr) {
     return fail_all(ErrorCode::kNoSuchDomain, "no process endpoint");
   }
-  if (ep->dead_pending || !ep->live) {
+  if (!ep->live) {
     // A corpse detected earlier (post-return self-kill, or an out-of-call
     // death not yet collected): the batch never reaches the server, so this
     // is a pre-accept death — retryable.
-    MarkDead(*ep);
     (void)fail_all(ErrorCode::kPeerDied, "server process already dead");
     return Status::Ok();
   }
   if (kill_phase == KillPhase::kBeforeAccept) {
     // Chaos schedule: kill before ringing the doorbell, so no handler
     // provably runs.
-    kill(ep->pid, SIGKILL);
-    MarkDead(*ep);
+    Kill(*ep);
     (void)fail_all(ErrorCode::kPeerDied,
                    "server process died before accepting the call");
     return Status::Ok();
@@ -510,7 +477,7 @@ Status ProcHost::ExecuteBatch(DomainId server, DomainId client,
   for (;;) {
     const std::uint32_t returned =
         FutexDoorbell::WaitWhile(&ch->return_seq, &ch->return_sleepers,
-                                 returned_before, options_.wait_slice_ms);
+                                 returned_before, kWaitSliceMs);
     if (returned != returned_before) {
       // The server rang the return doorbell once for the whole batch; its
       // release published every entry's results under our acquire load.
@@ -519,49 +486,67 @@ Status ProcHost::ExecuteBatch(DomainId server, DomainId client,
         // The deliberate post-return death is synchronous (the child
         // SIGKILLed itself right after ringing); reap it now so the next
         // call observes kPeerDied deterministically.
-        MarkDead(*ep);
+        Kill(*ep);
       }
       return Status::Ok();
     }
 
     // Liveness check between futex slices — this is what turns "peer died
     // mid-call" into a prompt status instead of a hang.
-    int wait_status = 0;
-    const pid_t r = waitpid(ep->pid, &wait_status, WNOHANG);
-    if (r != 0) {
-      ep->reaped = r == ep->pid;
-      MarkDead(*ep);
+    if (Exited(*ep)) {
       triage_death("server process died mid-call");
       return Status::Ok();
     }
 
-    waited_ms += options_.wait_slice_ms;
+    waited_ms += kWaitSliceMs;
     if (waited_ms >= options_.call_deadline_ms) {
       // The backend's own watchdog: a wedged peer is indistinguishable from
       // a hung call, so kill and collect it rather than hang the client.
-      kill(ep->pid, SIGKILL);
-      MarkDead(*ep);
+      Kill(*ep);
       triage_death("wedged server killed mid-call");
       return Status::Ok();
     }
   }
 }
 
-void ProcHost::MarkDead(Endpoint& ep) {
+bool ProcHost::Exited(Endpoint& ep) {
+  // Only this endpoint's pid, never -1, so the host cannot reap another
+  // subsystem's children. ECHILD means someone else reaped it: it is gone.
+  int wait_status = 0;
+  if (waitpid(ep.pid, &wait_status, WNOHANG) == 0) {
+    return false;
+  }
   ep.live = false;
-  if (!ep.reaped && ep.pid > 0) {
-    // Blocking reap is safe here: every caller has either sent SIGKILL or
-    // observed the death already, so the wait returns promptly.
-    int wait_status = 0;
-    (void)waitpid(ep.pid, &wait_status, 0);
-    ep.reaped = true;
+  return true;
+}
+
+void ProcHost::Kill(Endpoint& ep) {
+  if (!ep.live) {
+    return;
   }
-  ep.dead_pending = true;
-  if (ep.ctl_fd >= 0) {
-    close(ep.ctl_fd);
-    ep.ctl_fd = -1;
+  // After SIGKILL the blocking reap returns promptly.
+  kill(ep.pid, SIGKILL);
+  int wait_status = 0;
+  (void)waitpid(ep.pid, &wait_status, 0);
+  ep.live = false;
+}
+
+void ProcHost::Stop(Endpoint& ep) {
+  if (!ep.live) {
+    return;
   }
-  supervisor_.Unwatch(ep.domain);
+  // LRPC_MO(stop-flag)
+  ep.channel->shutdown.store(1, std::memory_order_relaxed);
+  FutexDoorbell::Wake(&ep.channel->call_seq, &ep.channel->call_sleepers);
+  for (int waited_ms = 0; waited_ms < kStopGraceMs; waited_ms += 10) {
+    if (Exited(ep)) {
+      return;
+    }
+    usleep(10 * 1000);
+  }
+  // Still in a handler, or wedged: the server leaves its loop only between
+  // batches, so a stop must not wait on it.
+  Kill(ep);
 }
 
 void ProcHost::OnDomainTerminated(DomainId domain) {
@@ -569,26 +554,17 @@ void ProcHost::OnDomainTerminated(DomainId domain) {
   if (it == endpoints_.end()) {
     return;  // Not a proc-backed domain, or already reclaimed.
   }
-  Endpoint& ep = it->second;
-  if (ep.live && ep.pid > 0) {
-    kill(ep.pid, SIGKILL);
-  }
-  MarkDead(ep);
-  // Reclaim: the endpoint's destructor unmaps the shared channel segment;
-  // the liveness fd was closed by Unwatch, the control fd by MarkDead.
+  Kill(it->second);
+  // Reclaim: the endpoint's destructor unmaps the shared channel segment.
   endpoints_.erase(it);
 }
 
 std::vector<DomainId> ProcHost::PollDeaths() {
   std::vector<DomainId> dead;
-  for (const ProcSupervisor::DeadPeer& peer : supervisor_.Poll()) {
-    Endpoint* ep = Find(peer.domain);
-    if (ep == nullptr || ep->dead_pending) {
-      continue;
+  for (auto& [domain, ep] : endpoints_) {
+    if (ep.live && Exited(ep)) {
+      dead.push_back(domain);
     }
-    ep->reaped = true;  // The supervisor's sweep already reaped it.
-    MarkDead(*ep);
-    dead.push_back(peer.domain);
   }
   return dead;
 }
@@ -598,7 +574,7 @@ int ProcHost::CollectDead() {
   // erases from endpoints_.
   std::vector<DomainId> pending;
   for (const auto& [domain, ep] : endpoints_) {
-    if (ep.dead_pending) {
+    if (!ep.live) {
       pending.push_back(domain);
     }
   }
@@ -619,8 +595,8 @@ Status ProcHost::KillPeer(DomainId server) {
     return Status(ErrorCode::kDomainTerminated, "peer already dead");
   }
   kill(ep->pid, SIGKILL);
-  // Deliberately no reap here: the supervisor's SIGCHLD/EPOLLHUP/waitpid
-  // machinery is what the out-of-call death tests exercise.
+  // Deliberately no reap here: the out-of-call death tests exercise the
+  // detector (PollDeaths, or the next call's liveness check).
   return Status::Ok();
 }
 
@@ -632,14 +608,7 @@ Status ProcHost::Shutdown(DomainId server) {
   if (!ep->live) {
     return Status(ErrorCode::kDomainTerminated, "peer already dead");
   }
-  // LRPC_MO(stop-flag)
-  ep->channel->shutdown.store(1, std::memory_order_relaxed);
-  FutexDoorbell::Wake(&ep->channel->call_seq,
-                      &ep->channel->call_sleepers);
-  int wait_status = 0;
-  (void)waitpid(ep->pid, &wait_status, 0);
-  ep->reaped = true;
-  MarkDead(*ep);
+  Stop(*ep);
   return Status::Ok();
 }
 

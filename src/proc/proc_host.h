@@ -6,10 +6,15 @@
 // window) crosses a MAP_SHARED channel segment behind a futex doorbell, the
 // domain transfer; a window of up to 24 bytes rides the doorbells' own
 // cache line (proc_channel.h). Binding admission runs over a UNIX-domain
-// socket handshake checked against the nameserver; and a ProcSupervisor watches
-// every child so peer death — deliberate (chaos SIGKILL schedules), induced
-// (wedged peers past the call deadline) or spontaneous — is detected,
-// reaped, and fed to the §5.3 termination collector, never hung on.
+// socket handshake checked against the nameserver. One death detector,
+// waitpid(WNOHANG) on the host's own server pids, runs between a call's
+// wait slices (ExecuteBatch) and out of any call (PollDeaths), so peer
+// death — deliberate (chaos SIGKILL schedules), induced (wedged peers past
+// the call deadline) or spontaneous — is detected, reaped, and fed to the
+// §5.3 termination collector, never hung on. A stop (Shutdown, or the
+// host's destruction) is bounded: a server that does not leave its serve
+// loop within a short grace is SIGKILLed. A server process exits by itself
+// once its client process is gone.
 //
 // Lifetime: the host attaches itself to the runtime on construction and
 // detaches on destruction, so it must not outlive the runtime. Everything
@@ -32,21 +37,16 @@
 #include "src/lrpc/runtime.h"
 #include "src/proc/proc_channel.h"
 #include "src/proc/proc_segment.h"
-#include "src/proc/proc_supervisor.h"
 
 namespace lrpc {
 
 class ProcHost final : public ProcTransport {
  public:
   struct Options {
-    // Futex slice between liveness checks while a call is outstanding.
-    int wait_slice_ms = 2;
     // Wall deadline for one domain transfer: a peer that has not returned
     // by then is treated as wedged, SIGKILLed and collected — the backend's
     // own watchdog, guaranteeing no client ever hangs on a corpse.
     int call_deadline_ms = 5000;
-    // Wall deadline for the spawn handshake over the control socket.
-    int hello_deadline_ms = 5000;
   };
 
   explicit ProcHost(LrpcRuntime& runtime) : ProcHost(runtime, Options()) {}
@@ -79,9 +79,10 @@ class ProcHost final : public ProcTransport {
                       KillPhase kill) override;
   void OnDomainTerminated(DomainId domain) override;
 
-  // --- Robustness surface (supervisor-driven, out-of-call). ---
-  // Sweeps the supervisor for peers that died outside any call (the chaos
-  // raw-SIGKILL case); marks them dead-pending and returns their domains.
+  // --- Robustness surface (out-of-call). ---
+  // Sweeps the live endpoints with waitpid(WNOHANG) for peers that died
+  // outside any call (the chaos raw-SIGKILL case); reaps them, marks them
+  // dead-pending and returns their domains.
   std::vector<DomainId> PollDeaths();
   // Runs the termination collector on every dead-pending domain (revoking
   // bindings, unwinding captured threads, reclaiming segments); returns the
@@ -91,7 +92,9 @@ class ProcHost final : public ProcTransport {
   // --- Test and bench surface. ---
   // Raw SIGKILL of a server's process, not synchronized with any call.
   Status KillPeer(DomainId server);
-  // Graceful shutdown: sets the channel's shutdown flag, waits for exit.
+  // Stops the server: the channel's shutdown flag and a doorbell ring, then
+  // SIGKILL if it has not exited within the grace. Reaped either way; the
+  // endpoint is left dead-pending.
   Status Shutdown(DomainId server);
   int peer_pid(DomainId server) const;
   // Endpoints whose process is believed alive.
@@ -100,7 +103,6 @@ class ProcHost final : public ProcTransport {
   // domain is collected this equals live_endpoints().
   std::size_t mapped_segments() const;
   std::uint64_t transfers() const { return transfers_; }
-  ProcSupervisor& supervisor() { return supervisor_; }
   // The shared channel of `server`'s endpoint, as the client maps it (null
   // when the domain has none): what a hostile client process can write.
   ProcChannel* channel(DomainId server);
@@ -112,16 +114,17 @@ class ProcHost final : public ProcTransport {
     int pid = -1;
     ProcSegment segment;            // Holds the channel.
     ProcChannel* channel = nullptr;
-    int ctl_fd = -1;                // Parent end of the control socket.
-    bool live = false;              // Process believed running.
-    bool dead_pending = false;      // Corpse detected, collector not yet run.
-    bool reaped = false;
+    // Process running. Once false, the process is reaped and the endpoint
+    // is dead-pending until the collector erases it.
+    bool live = false;
   };
 
-  // Serve loop of the forked child; never returns. It reads each batch's
-  // header once, and walks the arena with ProcEntryLayout, checking every
-  // window against the arena's end before it touches it.
-  [[noreturn]] void ChildServe(Endpoint& self);
+  // Serve loop of the forked child; never returns. It sends its hello on
+  // `ctl_fd`, reads each batch's header once, and walks the arena with
+  // ProcEntryLayout, checking every window against the arena's end before
+  // it touches it. It exits on the shutdown flag, or once its parent is no
+  // longer `client_pid`.
+  [[noreturn]] void ChildServe(Endpoint& self, int ctl_fd, int client_pid);
   // One handler execution in the child for the entry whose window is
   // `window`, which the caller has checked lies inside the arena. The
   // handler runs on the procedure's entry of `scratch` (one A-stack per
@@ -136,15 +139,22 @@ class ProcHost final : public ProcTransport {
                          DomainId client, int procedure, bool inline_window,
                          std::uint8_t* window, std::size_t len);
 
-  // Reaps (if needed) and marks an endpoint's corpse; idempotent.
-  void MarkDead(Endpoint& ep);
+  // The one death detector: waitpid(WNOHANG) on the endpoint's own pid.
+  // True, with the endpoint dead, once its process has exited and been
+  // reaped (or was reaped elsewhere).
+  bool Exited(Endpoint& ep);
+  // SIGKILLs a live endpoint's process, reaps it and marks it dead;
+  // idempotent.
+  void Kill(Endpoint& ep);
+  // The one stop path, for Shutdown and the destructor: the shutdown flag
+  // and a doorbell ring, a grace for the server to exit, then SIGKILL.
+  void Stop(Endpoint& ep);
 
   Endpoint* Find(DomainId domain);
   const Endpoint* Find(DomainId domain) const;
 
   LrpcRuntime& runtime_;
   Options options_;
-  ProcSupervisor supervisor_;
   std::map<DomainId, Endpoint> endpoints_;
   std::uint64_t transfers_ = 0;
 };

@@ -92,7 +92,6 @@ void RunOneSchedule(std::uint64_t seed) {
   // endpoint gone; the survivor is untouched and still serving.
   EXPECT_EQ(world.host().live_endpoints(), 1u);
   EXPECT_EQ(world.host().mapped_segments(), 1u);
-  EXPECT_EQ(world.host().supervisor().watched(), 1u);
   EXPECT_FALSE(world.kernel().domain(world.server_domain(0)).alive());
   EXPECT_TRUE(world.CallNull(1).ok());
 

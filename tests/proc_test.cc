@@ -1,17 +1,20 @@
 // The multi-process backend (src/proc, docs/multiprocess.md): real forked
 // server domains, shared-mmap argument windows behind futex doorbells, and
-// the supervisor/collector machinery that turns a SIGKILLed peer into
+// the death detection and collection that turn a SIGKILLed peer into
 // kPeerDied/kCallFailed instead of a hang.
 //
 // Every test skips cleanly when the sandbox forbids fork.
 
 #include <gtest/gtest.h>
 
+#include <sys/prctl.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
+#include <chrono>
 #include <cstddef>
 #include <cstdlib>
 #include <cstring>
@@ -480,14 +483,12 @@ struct ForgedEntry {
   std::uint32_t window_len;
 };
 
-// Writes `batch` into `world`'s channel, as a hostile client process could,
-// and rings it. Returns the return doorbell's value, or the old one if the
-// server never rang back.
-std::uint32_t RingForgedBatch(ProcWorld& world,
-                              std::span<const ForgedEntry> batch) {
-  ProcChannel* ch = world.host().channel(world.server_domain());
+// Writes `batch` into `ch`, as a hostile client process could, and rings
+// it without waiting. Returns the return doorbell's value before the ring.
+std::uint32_t PublishForgedBatch(ProcChannel* ch, DomainId client,
+                                 std::span<const ForgedEntry> batch) {
   ch->die_mode = kProcDieNone;
-  ch->client_domain = static_cast<std::int32_t>(world.client_domain());
+  ch->client_domain = static_cast<std::int32_t>(client);
   ch->batch_count = static_cast<std::uint32_t>(batch.size());
   std::size_t header = 0;
   for (const ForgedEntry& forged : batch) {
@@ -505,6 +506,17 @@ std::uint32_t RingForgedBatch(ProcWorld& world,
   const std::uint32_t before = ch->return_seq.load(std::memory_order_acquire);
   ch->call_seq.fetch_add(1, std::memory_order_seq_cst);
   FutexDoorbell::Wake(&ch->call_seq, &ch->call_sleepers);
+  return before;
+}
+
+// Publishes `batch` into `world`'s channel and waits for the server.
+// Returns the return doorbell's value, or the old one if the server never
+// rang back.
+std::uint32_t RingForgedBatch(ProcWorld& world,
+                              std::span<const ForgedEntry> batch) {
+  ProcChannel* ch = world.host().channel(world.server_domain());
+  const std::uint32_t before =
+      PublishForgedBatch(ch, world.client_domain(), batch);
   std::uint32_t now = before;
   for (int waited_ms = 0; now == before && waited_ms < 2000; waited_ms += 50) {
     now = FutexDoorbell::WaitWhile(&ch->return_seq, &ch->return_sleepers,
@@ -1049,11 +1061,9 @@ TEST(ProcDeathTest, OutOfCallKillIsSeenBySupervisorAndCollected) {
   ASSERT_TRUE(world.ok()) << world.spawn_status().detail();
   ASSERT_TRUE(world.CallNull().ok());
 
-  const std::uint64_t sigchld_before = ProcSupervisor::SigchldSeen();
   ASSERT_TRUE(world.host().KillPeer(world.server_domain()).ok());
 
-  // The supervisor notices without any call in flight: EPOLLHUP on the
-  // liveness pipe and/or the waitpid sweep, plus the SIGCHLD tally.
+  // The waitpid sweep notices without any call in flight.
   std::vector<DomainId> dead;
   for (int spins = 0; spins < 500 && dead.empty(); ++spins) {
     dead = world.host().PollDeaths();
@@ -1063,7 +1073,6 @@ TEST(ProcDeathTest, OutOfCallKillIsSeenBySupervisorAndCollected) {
   }
   ASSERT_EQ(dead.size(), 1u);
   EXPECT_EQ(dead[0], world.server_domain());
-  EXPECT_GE(ProcSupervisor::SigchldSeen(), sigchld_before);
 
   // Collection runs the §5.3 collector against the corpse: bindings
   // revoked, segments reclaimed.
@@ -1167,6 +1176,111 @@ TEST(ProcDeathTest, GracefulShutdownReclaimsWithoutACollector) {
   // retryable pre-accept death and collects.
   EXPECT_EQ(world.CallNull().code(), ErrorCode::kPeerDied);
   EXPECT_EQ(world.host().mapped_segments(), 0u);
+}
+
+// A server leaves its serve loop for the shutdown flag only between
+// batches. Shutdown of a server stuck in a 3 s handler SIGKILLs it after
+// the grace, and reaps it, instead of waiting the handler out.
+TEST(ProcDeathTest, ShutdownOfAServerStuckInAHandlerIsBounded) {
+  SKIP_WITHOUT_FORK();
+  ProcedureDef stuck;
+  stuck.name = "Stuck";
+  stuck.handler = [](ServerFrame&) {
+    std::this_thread::sleep_for(std::chrono::seconds(3));
+    return Status::Ok();
+  };
+  std::vector<ProcedureDef> procedures;
+  procedures.push_back(std::move(stuck));
+  CustomProcWorld world(std::move(procedures));
+  ASSERT_TRUE(world.spawn.ok()) << world.spawn.detail();
+  ProcChannel* ch = world.host.channel(world.server);
+  ASSERT_NE(ch, nullptr);
+  const int pid = world.host.peer_pid(world.server);
+
+  // Ring the call straight into the channel, and wait until the server has
+  // accepted it: from then on it is in the handler.
+  const std::uint32_t accepted = ch->accept_seq.load(std::memory_order_acquire);
+  const ForgedEntry call[] = {
+      {0, static_cast<std::uint32_t>(
+              world.binding->interface_spec()->pd(0).window_bytes)}};
+  (void)PublishForgedBatch(ch, world.client, call);
+  for (int waited_ms = 0;
+       waited_ms < 2000 &&
+       ch->accept_seq.load(std::memory_order_acquire) == accepted;
+       ++waited_ms) {
+    usleep(1000);
+  }
+  ASSERT_NE(ch->accept_seq.load(std::memory_order_acquire), accepted);
+
+  const auto start = std::chrono::steady_clock::now();
+  ASSERT_TRUE(world.host.Shutdown(world.server).ok());
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(1));
+  EXPECT_EQ(world.host.live_endpoints(), 0u);
+  // Reaped: the pid is no longer a child of this process.
+  int wait_status = 0;
+  const pid_t waited = waitpid(pid, &wait_status, WNOHANG);
+  const int wait_error = errno;
+  EXPECT_EQ(waited, -1);
+  EXPECT_EQ(wait_error, ECHILD);
+}
+
+// A server process dies with its client. A helper process, a child
+// subreaper so that the orphaned server becomes its child, forks a client
+// that builds a ProcWorld, makes one call, reports its server's pid and
+// _exits without tearing anything down. The helper must reap the server
+// within 2 s; if it cannot, it SIGKILLs and reaps it, so the test leaves
+// nothing running either way.
+TEST(ProcDeathTest, AServerExitsWhenItsClientProcessDies) {
+  SKIP_WITHOUT_FORK();
+  enum : int { kReaped = 0, kKilled = 1, kNoServer = 2 };
+  const pid_t helper = fork();
+  ASSERT_GE(helper, 0);
+  if (helper == 0) {
+    int report[2] = {-1, -1};
+    if (prctl(PR_SET_CHILD_SUBREAPER, 1) != 0 || pipe(report) != 0) {
+      _exit(kNoServer);
+    }
+    const pid_t client = fork();
+    if (client == 0) {
+      close(report[0]);
+      ProcWorld world;
+      int server_pid = -1;
+      if (world.ok() && world.CallNull().ok()) {
+        server_pid = world.host().peer_pid(world.server_domain());
+      }
+      (void)!write(report[1], &server_pid, sizeof(server_pid));
+      _exit(0);  // No destructor runs: the server is left behind.
+    }
+    close(report[1]);
+    int server_pid = -1;
+    const bool reported =
+        client > 0 &&
+        read(report[0], &server_pid, sizeof(server_pid)) ==
+            static_cast<ssize_t>(sizeof(server_pid)) &&
+        server_pid > 0;
+    int wait_status = 0;
+    if (client > 0) {
+      (void)waitpid(client, &wait_status, 0);
+    }
+    if (!reported) {
+      _exit(kNoServer);
+    }
+    for (int waited_ms = 0; waited_ms < 2000; waited_ms += 10) {
+      if (waitpid(server_pid, &wait_status, WNOHANG) == server_pid) {
+        _exit(kReaped);
+      }
+      usleep(10 * 1000);
+    }
+    kill(server_pid, SIGKILL);
+    (void)waitpid(server_pid, &wait_status, 0);
+    _exit(kKilled);
+  }
+  int wait_status = 0;
+  ASSERT_EQ(waitpid(helper, &wait_status, 0), helper);
+  ASSERT_TRUE(WIFEXITED(wait_status));
+  EXPECT_EQ(WEXITSTATUS(wait_status), kReaped)
+      << "1: the server outlived its client by 2 s and was killed; "
+         "2: the client reported no server";
 }
 
 // --- The chaos and supervision suites against the real backend. ---
